@@ -10,9 +10,8 @@ Diophantine machinery, all of it in exact integer arithmetic.
 __version__ = "0.1.0"
 
 from .dyadic import Dyadic
-from .dynamics import (BudgetExhausted, Formalism, LinearForm, Trajectory,
-                       advance_form, iterate_with_forms, parity_vector, step,
-                       trajectory)
+from .dynamics import (BudgetExhausted, Formalism, Trajectory, parity_vector,
+                       step, trajectory)
 from .vectors import ParityVector
 from .poset import (HasseDiagram, PosetRelation, all_vectors, compare, covers,
                     hasse, check_remainder_monotonicity)
@@ -28,8 +27,8 @@ from .numtheory import (ApproxPair, Convergent, DivergenceWitness, approx_pairs,
                         rhin_gap_ok)
 from .precision import Undecided
 from .search import (CstReport, INFINITE, ParadoxHit, coeff_stopping_time, delay,
-                     delay_and_odd_count, enumerate_paradoxes, max_excursion,
-                     naive_paradoxes, scan_paradoxes, stopping_time, verify_cst)
+                     enumerate_paradoxes, max_excursion, naive_paradoxes,
+                     scan_paradoxes, stopping_time, verify_cst)
 from .census import CensusRow, CensusSummary, census, render_census
 from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
                       RecordTable, compute_records, ingest_reference_records,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .dyadic import Dyadic
 from .dynamics import Formalism, Trajectory, trajectory
-from .precision import log2_ratio_scaled
+from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
 # ---------------------------------------------------------------------------
 # Exact floor(j * log2/log3) and friends
@@ -35,17 +35,6 @@ def floor_log_ratio(j: int) -> int:
     while q > 0 and pow(3, q).bit_length() > j:
         q -= 1
     return q
-
-
-def iter_floor_log_ratio(j_hi: int):
-    """Yield (j, floor_log_ratio(j)) for j = 1..j_hi with incremental powers."""
-    p = 3  # 3**(q+1)
-    q = 0
-    for j in range(1, j_hi + 1):
-        while p.bit_length() <= j:
-            q += 1
-            p *= 3
-        yield j, q
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +116,8 @@ def paradox_witness(traj: Trajectory) -> ParadoxWitness:
     """Decide coefficient < 1 together with last >= first, exactly."""
     if traj.j < 1:
         raise ValueError("trajectory must have at least one step")
-    form = traj.forms[-1]
-    ok = form.coefficient_lt_one() and traj.last() >= traj.start
-    return ParadoxWitness(ok, form.coefficient(), form.E, traj.last() - traj.start)
+    ok = traj.coefficient_lt_one() and traj.last() >= traj.start
+    return ParadoxWitness(ok, traj.coefficient(), traj.remainder(), traj.last() - traj.start)
 
 
 def is_paradoxical(traj: Trajectory) -> bool:
@@ -156,12 +144,11 @@ class EnRatioBounds:
 
 def en_ratio_bounds(traj: Trajectory) -> EnRatioBounds:
     """Both sides of the E/n window, cleared of h by cross-multiplication."""
-    form = traj.forms[-1]
-    q, e = form.q, form.e
+    q, e = traj.q, traj.e
     if q < 1:
         raise ValueError("trajectory needs at least one odd term")
     h = harmonic_mean_odd_terms(traj)
-    ratio = form.E.as_fraction() / traj.start
+    ratio = Fraction(traj.e_num, traj.start << e)
     lower = Fraction((1 << e) - 3**q, 1 << e)
     hn, hd = h.numerator, h.denominator
     upper = Fraction((3 * hn + hd) ** q - 3**q * hn**q, hn**q << e)
@@ -174,11 +161,10 @@ def ones_ratio_window(traj: Trajectory) -> bool:
     Right side: 3**q < 2**e.  Left side: 2**e <= (3 + 1/h)**q, evaluated as
     2**e * hn**q <= (3*hn + hd)**q with h = hn/hd in lowest terms.
     """
-    form = traj.forms[-1]
-    q, e = form.q, form.e
+    q, e = traj.q, traj.e
     if q < 1:
         return False
-    if not form.coefficient_lt_one():
+    if not traj.coefficient_lt_one():
         return False
     h = harmonic_mean_odd_terms(traj)
     hn, hd = h.numerator, h.denominator
@@ -206,19 +192,19 @@ def harmonic_cap_holds(j: int, m: int) -> bool:
 def smallest_harmonic_cap_j(m: int, j_limit: int = 400_000, prec: int = 192) -> int:
     """Least j > 1 with H(j) >= m.
 
-    The condition is j <= q * log2(3 + 1/m).  A certified interval for the
-    log decides almost every j; any straddled case falls back to the exact
-    power comparison, so the returned value carries a full proof.
+    The condition is j <= q * log2(3 + 1/m) with q = floor(j * log2/log3).
+    Certified intervals for both logs decide almost every j; any straddled
+    case falls back to the exact computation, so the returned value carries a
+    full proof.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     lo, hi = log2_ratio_scaled(3 * m + 1, m, prec)
-    p3 = 3   # 3**(q+1)
-    q = 0
+    r_lo, r_hi = div_scaled(ln2_scaled(prec), ln3_scaled(prec), prec)
     for j in range(2, j_limit + 1):
-        while p3.bit_length() <= j:
-            q += 1
-            p3 *= 3
+        q = (j * r_lo) >> prec
+        if q != (j * r_hi) >> prec:
+            q = floor_log_ratio(j)
         if q == 0:
             continue
         js = j << prec

@@ -152,7 +152,7 @@ class Scoreboard:
             j = rng.randrange(0, 121)
             f = Formalism.SHORTCUT if rng.random() < 0.5 else Formalism.CLASSIC
             t = trajectory(n, j, f)
-            if not t.check_identity() or t.forms[-1].E.exp2 != t.forms[-1].e:
+            if not t.check_identity() or t.remainder().exp2 != t.e:
                 bad += 1
         return CheckResult(f"linear-form identity on {samples} random triples",
                            bad == 0, f"violations={bad}")

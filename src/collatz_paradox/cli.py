@@ -23,7 +23,7 @@ from .poset import hasse
 from .precision import Undecided
 from .records import (RecordKind, compute_records, ingest_reference_records,
                       theorem5_bound_chain, IngestError, _DATA_FILES)
-from .runner import SearchConfig, census_text, hits_csv_text, run_search, write_text
+from .runner import SearchConfig, hits_csv_text, run_search, write_text
 from .search import DEFAULT_BUDGET, verify_cst
 
 EXIT_OK = 0
@@ -58,23 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="collatz-paradox",
         description="Exact-arithmetic census and analysis of paradoxical Collatz sequences")
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--paper-check", action="store_true",
-                    help="run the full reproduction scoreboard (same as the "
-                         "'check' subcommand) and exit")
     sub = ap.add_subparsers(dest="command")
-
-    def add_common(p, budget=True):
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker processes (results are identical for any N)")
-        if budget:
-            p.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
-                           metavar="K", help="per-trajectory step budget")
 
     ps = sub.add_parser("search", help="enumerate paradoxical trajectories in a range")
     ps.add_argument("--range", type=parse_range, required=True, metavar="A..B")
     ps.add_argument("--formalism", type=Formalism.parse, default=Formalism.SHORTCUT,
                     metavar="shortcut|classic")
-    add_common(ps)
+    ps.add_argument("--threads", type=int, default=1, metavar="N",
+                    help="worker processes (results are identical for any N)")
+    ps.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
+                    metavar="K", help="per-trajectory step budget")
     ps.add_argument("--block-size", type=parse_bound, default=None, metavar="B")
     ps.add_argument("--out", metavar="PATH", help="hit CSV output path")
     ps.add_argument("--census-out", metavar="PATH", help="census table output path")
@@ -87,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cst", help="verify stopping time = coefficient stopping time")
     pc.add_argument("--range", type=parse_range, required=True, metavar="A..B")
-    add_common(pc)
+    pc.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
+                    metavar="K", help="per-trajectory step budget")
 
     pp = sub.add_parser("poset", help="export the Hasse diagram of one (j, q) class")
     pp.add_argument("j", type=int)
@@ -259,9 +253,6 @@ def cmd_check(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.paper_check:
-        ns = argparse.Namespace(threads=4, refs=None, null_hi=10**6)
-        return cmd_check(ns)
     handlers = {
         "search": cmd_search,
         "cst": cmd_cst,

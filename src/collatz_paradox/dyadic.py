@@ -101,9 +101,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp2)
-
     def __repr__(self) -> str:
         n, d = self.as_integer_pair()
         return f"Dyadic({n}/{d})"

@@ -1,13 +1,13 @@
 """Collatz dynamics with an exactly maintained linear decomposition.
 
 Two formalisms are supported: the compressed map n -> (3n+1)/2 or n/2
-("shortcut") and the classic map n -> 3n+1 or n/2.  Alongside the iterates we
-maintain the exact decomposition
+("shortcut") and the classic map n -> 3n+1 or n/2.  A trajectory keeps its
+iterates and the exact decomposition of the last one,
 
-    iterate_k = (3**q / 2**e) * n + E
+    iterate_j = (3**q / 2**e) * n + E
 
-where q counts odd steps, e counts halvings and E is a dyadic rational stored
-with denominator exactly 2**e, so that every update is a shift/add.  All
+where q counts odd steps, e counts halvings and E = e_num / 2**e is carried
+as its integer numerator, so that every update is a shift/add.  All
 arithmetic is on unbounded integers; nothing here ever rounds.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from .dyadic import Dyadic
 from .vectors import ParityVector
@@ -56,12 +55,22 @@ def step(n: int, formalism: Formalism = Formalism.SHORTCUT) -> int:
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """(q, e, E) with iterate = (3**q / 2**e) * n + E, E.exp2 == e."""
+class Trajectory:
+    """Iterates of one finite trajectory and its final linear form.
 
-    q: int = 0
-    e: int = 0
-    E: Dyadic = Dyadic(0, 0)
+    After j steps, iterate_j = (3**q / 2**e) * start + e_num / 2**e.
+    """
+
+    start: int
+    formalism: Formalism
+    iterates: tuple[int, ...]
+    q: int
+    e: int
+    e_num: int
+
+    @property
+    def j(self) -> int:
+        return len(self.iterates) - 1
 
     def coefficient(self) -> Dyadic:
         return Dyadic(3**self.q, self.e)
@@ -70,53 +79,8 @@ class LinearForm:
         # 3**q < 2**e iff bit_length(3**q) <= e (equality of the powers is impossible)
         return (3**self.q).bit_length() <= self.e
 
-
-def advance_form(form: LinearForm, odd: bool, formalism: Formalism = Formalism.SHORTCUT) -> LinearForm:
-    """Advance the decomposition by one step of the given parity.
-
-    Shortcut: odd step maps E to (3E+1)/2, even to E/2.  Classic: odd step maps
-    E to 3E+1 (no halving), even to E/2.  In every case E keeps denominator
-    2**e for the new halving count e.
-    """
-    q, e, num = form.q, form.e, form.E.num
-    if form.E.exp2 != e:
-        raise ValueError("linear form remainder must carry exp2 == e")
-    if odd:
-        num = 3 * num + (1 << e)
-        q += 1
-        if formalism is Formalism.SHORTCUT:
-            e += 1
-    else:
-        e += 1
-    return LinearForm(q, e, Dyadic(num, e))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Iterates and linear forms of one finite trajectory."""
-
-    start: int
-    formalism: Formalism
-    iterates: tuple[int, ...]
-    forms: tuple[LinearForm, ...]
-
-    @property
-    def j(self) -> int:
-        return len(self.iterates) - 1
-
-    @property
-    def q(self) -> int:
-        return self.forms[-1].q
-
-    @property
-    def e(self) -> int:
-        return self.forms[-1].e
-
-    def coefficient(self) -> Dyadic:
-        return self.forms[-1].coefficient()
-
     def remainder(self) -> Dyadic:
-        return self.forms[-1].E
+        return Dyadic(self.e_num, self.e)
 
     def last(self) -> int:
         return self.iterates[-1]
@@ -126,46 +90,40 @@ class Trajectory:
         return [m for m in self.iterates[:-1] if m & 1]
 
     def check_identity(self) -> bool:
-        """iterate_j * 2**e == 3**q * n + E.num, as unbounded integers."""
-        f = self.forms[-1]
-        return self.last() << f.e == 3**f.q * self.start + f.E.num
+        """iterate_j * 2**e == 3**q * n + e_num, as unbounded integers."""
+        return self.last() << self.e == 3**self.q * self.start + self.e_num
 
 
 def trajectory(n: int, j: int, formalism: Formalism = Formalism.SHORTCUT) -> Trajectory:
-    """Trajectory of j steps from n (j+1 iterates, forms maintained)."""
+    """Trajectory of j steps from n (j+1 iterates and the final form).
+
+    Shortcut: an odd step maps E to (3E+1)/2, an even one to E/2.  Classic: an
+    odd step maps E to 3E+1 (no halving), an even one to E/2.  Carried as
+    E = e_num / 2**e, an odd step sets e_num to 3*e_num + 2**e (before any
+    halving) and a halving only raises e.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if j < 0:
         raise ValueError("j must be >= 0")
+    shortcut = formalism is Formalism.SHORTCUT
     iterates = [n]
-    forms = [LinearForm()]
     cur = n
+    q = e = num = 0
     for _ in range(j):
-        odd = bool(cur & 1)
-        forms.append(advance_form(forms[-1], odd, formalism))
-        cur = step(cur, formalism)
+        if cur & 1:
+            num = 3 * num + (1 << e)
+            q += 1
+            if shortcut:
+                cur = (3 * cur + 1) >> 1
+                e += 1
+            else:
+                cur = 3 * cur + 1
+        else:
+            cur >>= 1
+            e += 1
         iterates.append(cur)
-    return Trajectory(n, formalism, tuple(iterates), tuple(forms))
-
-
-def iterate_with_forms(n: int, formalism: Formalism = Formalism.SHORTCUT,
-                       max_steps: int | None = None) -> Iterator[tuple[int, LinearForm]]:
-    """Stream (iterate, form) pairs without retaining history.
-
-    Yields the state *after* each step, starting with step 1; stops after
-    max_steps when given, otherwise runs forever (caller must bound it).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cur = n
-    form = LinearForm()
-    k = 0
-    while max_steps is None or k < max_steps:
-        odd = bool(cur & 1)
-        form = advance_form(form, odd, formalism)
-        cur = step(cur, formalism)
-        k += 1
-        yield cur, form
+    return Trajectory(n, formalism, tuple(iterates), q, e, num)
 
 
 def parity_vector(n: int, j: int, formalism: Formalism = Formalism.SHORTCUT) -> ParityVector:

@@ -26,7 +26,6 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .census import census, render_census
 from .dynamics import Formalism
 from .search import DEFAULT_BUDGET, HIT_CSV_HEADER, ParadoxHit, scan_paradoxes
 
@@ -211,11 +210,6 @@ def hits_csv_text(result: SearchResult, timestamp: bool = True) -> str:
     lines.append(HIT_CSV_HEADER)
     lines.extend(h.csv_row() for h in result.hits())
     return "\n".join(lines) + "\n"
-
-
-def census_text(result: SearchResult, decimals: int = 2) -> str:
-    rows, summary = census(result.hits())
-    return render_census(rows, summary, decimals)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -95,26 +95,6 @@ def delay(n: int, formalism: Formalism = Formalism.SHORTCUT,
     return j
 
 
-def delay_and_odd_count(n: int, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(delay under the compressed map, odd steps on the way); the classic
-    delay is then their sum."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cur = n
-    j = 0
-    q = 0
-    while cur != 1:
-        if cur & 1:
-            cur = (3 * cur + 1) >> 1
-            q += 1
-        else:
-            cur >>= 1
-        j += 1
-        if j > budget:
-            raise BudgetExhausted(n, budget, what="never reached 1")
-    return j, q
-
-
 def max_excursion(n: int, formalism: Formalism = Formalism.SHORTCUT,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Greatest iterate of the trajectory down to 1 (attained before the
@@ -181,22 +161,17 @@ class ParadoxHit:
         """Rebuild the exact trajectory data for a (start, length) pair and
         re-verify both defining conditions."""
         traj = trajectory(n, j, formalism)
-        form = traj.forms[-1]
-        if not form.coefficient_lt_one():
+        if not traj.coefficient_lt_one():
             raise AssertionError(f"hit ({n}, {j}) has coefficient >= 1")
         d = traj.last() - n
         if d < 0:
             raise AssertionError(f"hit ({n}, {j}) has a falling trajectory")
-        e_num, e_den = form.E.as_integer_pair()
-        hit = cls(n=n, j=j, q=form.q, e=form.e, c_num=3**form.q, c_den=1 << form.e,
-                  e_num=e_num, e_den=e_den, d=d, start_odd=bool(n & 1),
-                  end_odd=bool(traj.last() & 1), formalism=formalism)
-        # exact consistency: d = C*n + E - n
-        lhs = d << form.e
-        rhs = 3**form.q * n + (form.E.num << (form.e - form.E.exp2)) - (n << form.e)
-        if lhs != rhs:
+        if not traj.check_identity():
             raise AssertionError(f"hit ({n}, {j}) fails the linear-form identity")
-        return hit
+        e_num, e_den = traj.remainder().as_integer_pair()
+        return cls(n=n, j=j, q=traj.q, e=traj.e, c_num=3**traj.q, c_den=1 << traj.e,
+                   e_num=e_num, e_den=e_den, d=d, start_odd=bool(n & 1),
+                   end_odd=bool(traj.last() & 1), formalism=formalism)
 
 
 def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTCUT,

@@ -6,10 +6,9 @@ import pytest
 from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
                                     harmonic_mean_odd_terms, is_paradoxical,
-                                    iter_floor_log_ratio, mean_remainder,
-                                    ones_ratio_window, paradox_witness,
-                                    remainder_bounds, small_j_classification,
-                                    smallest_harmonic_cap_j)
+                                    mean_remainder, ones_ratio_window,
+                                    paradox_witness, remainder_bounds,
+                                    small_j_classification, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
 
@@ -29,7 +28,8 @@ def test_floor_log_ratio_against_certified_interval():
     beyond that)."""
     prec = 200
     lo, hi = div_scaled(ln2_scaled(prec), ln3_scaled(prec), prec)
-    for j, q in iter_floor_log_ratio(3000):
+    for j in range(1, 3001):
+        q = floor_log_ratio(j)
         assert (j * lo) >> prec == (j * hi) >> prec == q, j
     undecided = [j for j in range(1, 10**6 + 1) if (j * lo) >> prec != (j * hi) >> prec]
     assert not undecided
@@ -132,6 +132,16 @@ def test_bound_chain_scalars():
     assert harmonic_cap_holds(1539, 113383)
     assert not harmonic_cap_holds(1538, 113383)
     assert all(not harmonic_cap_holds(j, 113383) for j in range(2, 200))
+
+
+def test_smallest_harmonic_cap_j_matches_exact_scan():
+    # at prec=8 both certified intervals straddle often, so the exact
+    # fallbacks decide many j
+    for m in list(range(1, 201)) + [10**4, 113383]:
+        j = 2
+        while not harmonic_cap_holds(j, m):
+            j += 1
+        assert smallest_harmonic_cap_j(m) == j == smallest_harmonic_cap_j(m, prec=8), m
 
 
 def test_small_j_classification():

@@ -84,6 +84,12 @@ def test_cst_command(capsys):
     assert main(["cst", "--range", "2..2"]) == EXIT_OK
 
 
+def test_cst_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cst", "--range", "2..100", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_poset_command(tmp_path, capsys):
     dot = tmp_path / "h.dot"
     assert main(["poset", "4", "2", "--out", str(dot)]) == EXIT_OK

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from collatz_paradox.dynamics import (BudgetExhausted, Formalism, LinearForm,
-                                      advance_form, iterate_with_forms,
-                                      parity_vector, step, trajectory)
+from collatz_paradox.dynamics import (BudgetExhausted, Formalism, parity_vector,
+                                      step, trajectory)
 from collatz_paradox.vectors import ParityVector
 
 
@@ -19,20 +18,18 @@ def test_step_both_formalisms():
 
 
 def test_advance_form_single_steps():
-    start = LinearForm()
-    odd = advance_form(start, True, Formalism.SHORTCUT)
-    assert (odd.q, odd.e) == (1, 1) and odd.E == Fraction(1, 2)
-    even = advance_form(start, False, Formalism.SHORTCUT)
-    assert (even.q, even.e) == (0, 1) and even.E == 0
-    codd = advance_form(start, True, Formalism.CLASSIC)
-    assert (codd.q, codd.e) == (1, 0) and codd.E == 1
+    odd = trajectory(1, 1)
+    assert (odd.q, odd.e) == (1, 1) and odd.remainder() == Fraction(1, 2)
+    even = trajectory(2, 1)
+    assert (even.q, even.e) == (0, 1) and even.remainder() == 0
+    codd = trajectory(1, 1, Formalism.CLASSIC)
+    assert (codd.q, codd.e) == (1, 0) and codd.remainder() == 1
 
 
 def test_form_after_eight_steps_from_seven():
     t = trajectory(7, 8)
-    f = t.forms[-1]
-    assert (f.q, f.e) == (5, 8)
-    assert f.E == Fraction(347, 256)
+    assert (t.q, t.e) == (5, 8)
+    assert t.remainder() == Fraction(347, 256)
     assert t.coefficient() == Fraction(243, 256)
 
 
@@ -101,7 +98,7 @@ def test_linear_form_identity_random_sample():
         f = Formalism.SHORTCUT if rng.random() < 0.5 else Formalism.CLASSIC
         t = trajectory(n, j, f)
         assert t.check_identity()
-        assert t.forms[-1].E.exp2 == t.forms[-1].e
+        assert t.remainder().exp2 == t.e
         if f is Formalism.SHORTCUT:
             assert t.e == j
         else:
@@ -110,10 +107,10 @@ def test_linear_form_identity_random_sample():
 
 def test_streaming_matches_batch():
     t = trajectory(27, 40)
-    stream = iterate_with_forms(27, max_steps=40)
-    for k, (cur, form) in enumerate(stream, start=1):
-        assert cur == t.iterates[k]
-        assert form == t.forms[k]
+    for k in range(41):
+        prefix = trajectory(27, k)
+        assert prefix.iterates == t.iterates[:k + 1]
+        assert prefix.check_identity()
 
 
 def test_trajectory_argument_validation():

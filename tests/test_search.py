@@ -3,8 +3,7 @@ import pytest
 from collatz_paradox.bounds import is_paradoxical
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
-                                    delay, delay_and_odd_count,
-                                    enumerate_paradoxes, max_excursion,
+                                    delay, enumerate_paradoxes, max_excursion,
                                     naive_paradoxes, scan_paradoxes,
                                     stopping_time, verify_cst)
 
@@ -42,8 +41,8 @@ def test_delay():
 
 def test_classic_delay_decomposition():
     for n in range(2, 10001):
-        j, q = delay_and_odd_count(n)
-        assert delay(n, Formalism.CLASSIC) == j + q
+        j = delay(n)
+        assert delay(n, Formalism.CLASSIC) == j + trajectory(n, j).q
 
 
 def test_max_excursion():
