@@ -29,7 +29,7 @@ from .precision import Undecided
 from .search import (CstReport, INFINITE, ParadoxHit, coeff_stopping_time, delay,
                      enumerate_paradoxes, max_excursion, naive_paradoxes,
                      scan_paradoxes, stopping_time, verify_cst)
-from .census import CensusRow, CensusSummary, census, render_census
+from .census import CensusRow, CensusSummary, render_census
 from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
                       RecordTable, compute_records, ingest_reference_records,
                       theorem5_bound_chain)

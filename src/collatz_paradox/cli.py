@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--threads", type=int, default=1, metavar="N",
                     help="worker processes (results are identical for any N)")
     ps.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
-                    metavar="K", help="per-trajectory step budget")
+                    metavar="K", help="most steps one walk may take before its early "
+                                      "exit (a start that needs more is an error)")
     ps.add_argument("--block-size", type=parse_bound, default=None, metavar="B")
     ps.add_argument("--out", metavar="PATH", help="hit CSV output path")
     ps.add_argument("--census-out", metavar="PATH", help="census table output path")

@@ -20,9 +20,7 @@ from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
 from .dynamics import Formalism
-from .search import delay, max_excursion
-
-I64_MAX = (1 << 63) - 1
+from .search import delay, extend_excursion_memo, max_excursion
 
 
 class RecordKind(enum.Enum):
@@ -63,27 +61,10 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     best = -1
 
     if kind is RecordKind.MAX_EXCURSION_T:
-        memo = array("q", bytes(8 * (n_hi + 1)))
+        memo = array("q")
+        extend_excursion_memo(memo, n_hi + 1)
         for n in range(1, n_hi + 1):
-            if n >= 3:
-                cur = n
-                peak = n
-                while cur >= n:
-                    if cur & 1:
-                        cur = (3 * cur + 1) >> 1
-                        if cur > peak:
-                            peak = cur
-                    else:
-                        cur >>= 1
-                m = memo[cur]
-                if m > peak:
-                    peak = m
-                if peak > I64_MAX:
-                    raise OverflowError("excursion exceeds the memo word size")
-                memo[n] = peak
-            else:
-                peak = n
-                memo[n] = n
+            peak = memo[n]
             if peak > best:
                 best = peak
                 out.append(RecordEntry(n, peak))

@@ -4,8 +4,16 @@ The enumeration walks every start once, maintaining only (iterate, odd-count,
 halving-count); the coefficient test 3**q < 2**e reduces to a table lookup of
 bit lengths, so the hot loop does no big-number arithmetic at all.  Exact
 coefficients and remainders are reconstructed per hit afterwards (hits are
-rare).  Each walk ends at the first 1: for starts >= 3 nothing later can
-reach the start again under the compressed map, and for the classic map this
+rare).
+
+A walk from n ends as soon as no later step can be a hit.  A hit needs an
+iterate >= n, so once a halving step lands on cur < n whose greatest
+compressed-map iterate (its excursion, read from a memo of small starts) is
+below n, nothing later reaches n again.  Under the classic map every iterate
+is a compressed-map iterate or 3x + 1 = 2 * ((3x + 1) / 2), so there the
+test is 2 * excursion < n.  The first 1 always passes the test, so a walk
+never runs into the trivial cycle: for starts >= 3 nothing after it reaches
+the start again under the compressed map, and for the classic map this
 matches the published census convention (continuing into the 1-4-2 cycle
 would only ever admit the trivial starts 3 and 4).
 """
@@ -13,6 +21,8 @@ would only ever admit the trivial starts 3 and 4).
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 
 from .dyadic import Dyadic
@@ -20,6 +30,7 @@ from .dynamics import BudgetExhausted, Formalism, trajectory
 
 INFINITE = math.inf
 DEFAULT_BUDGET = 1_000_000
+I64_MAX = (1 << 63) - 1
 
 _BL3: list[int] = [1]   # _BL3[q] = bit_length(3**q)
 
@@ -118,6 +129,59 @@ def max_excursion(n: int, formalism: Formalism = Formalism.SHORTCUT,
     return best
 
 
+def extend_excursion_memo(memo: array, size: int) -> None:
+    """Append to memo until len(memo) == size, where memo[m] = max_excursion(m)
+    for every m < len(memo) on entry (memo[0] = 0).
+
+    Each walk stops at its first iterate below the start and reuses the
+    already known excursion of that iterate, so a start costs a few steps
+    instead of a full descent to 1.  Entries are appended one at a time, so
+    every index below len(memo) is valid at any moment.
+    """
+    append = memo.append
+    for n in range(len(memo), size):
+        if n < 3:
+            append(n)
+            continue
+        cur = n
+        peak = n
+        while cur >= n:
+            if cur & 1:
+                cur = (3 * cur + 1) >> 1
+                if cur > peak:
+                    peak = cur
+            else:
+                cur >>= 1
+        m = memo[cur]
+        if m > peak:
+            peak = m
+        if peak > I64_MAX:
+            raise OverflowError("excursion exceeds the memo word size")
+        append(peak)
+
+
+_MEMO_FULL = 1 << 20    # 8 MB of int64, about 0.6 s to build
+_MEMO_FAR = 1 << 16     # about 0.03 s to build
+_excursion_memo = array("q")   # this process's memo; grown on demand, never shrunk
+_excursion_memo_lock = threading.Lock()
+
+
+def _memo_for_range(n_lo: int, n_hi: int) -> array:
+    """The process-wide excursion memo, grown to cover what [n_lo, n_hi] needs.
+
+    A range that starts inside the first 2**20 starts gets a memo up to its
+    own end (at most 2**20), since its walks mostly fall just below their
+    start.  A range beyond gets only 2**16 entries: its walks must fall that
+    far before the exit can fire, but short runs far out (one CLI process
+    per window) would otherwise pay the full build each.
+    """
+    size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
+    if len(_excursion_memo) < size:
+        with _excursion_memo_lock:
+            extend_excursion_memo(_excursion_memo, size)
+    return _excursion_memo
+
+
 # ---------------------------------------------------------------------------
 # Paradox hits
 # ---------------------------------------------------------------------------
@@ -178,8 +242,11 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                    budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     """Raw (n, j) pairs of every paradox with n_lo <= n <= n_hi, sorted.
 
-    This is the hot loop; see the module docstring for why it may stop each
-    walk at the first 1.
+    This is the hot loop.  Each walk ends at the first halving step onto
+    some cur < n whose excursion memo[cur] is below n (2 * memo[cur] < n
+    under the classic map); see the module docstring for why no hit is lost.
+    The budget caps the steps one walk may take before that exit; a start
+    that needs more raises BudgetExhausted.
     """
     if n_lo < 3:
         raise ValueError("enumeration starts at 3 (1 and 2 have infinitely many hits)")
@@ -187,48 +254,38 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("empty range")
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
+    memo = _memo_for_range(n_lo, n_hi)
+    size = len(memo)
     out: list[tuple[int, int]] = []
     append = out.append
-    if formalism is Formalism.SHORTCUT:
-        for n in range(n_lo, n_hi + 1):
-            cur = n
-            q = 0
-            j = 0
-            while cur != 1:
-                if cur & 1:
-                    cur = (3 * cur + 1) >> 1
-                    q += 1
-                    if q == qcap:
-                        bl3 = _bl3_table(2 * q)
-                        qcap = len(bl3)
-                else:
-                    cur >>= 1
-                j += 1
-                if bl3[q] <= j and cur >= n:
-                    append((n, j))
-                if j > budget:
-                    raise BudgetExhausted(n, budget, what="never reached 1")
-    else:
-        for n in range(n_lo, n_hi + 1):
-            cur = n
-            q = 0
-            e = 0
-            j = 0
-            while cur != 1:
-                if cur & 1:
-                    cur = 3 * cur + 1
-                    q += 1
-                    if q == qcap:
-                        bl3 = _bl3_table(2 * q)
-                        qcap = len(bl3)
-                else:
-                    cur >>= 1
+    shortcut = formalism is Formalism.SHORTCUT
+    for n in range(n_lo, n_hi + 1):
+        lim = n if n < size else size
+        cur = n
+        q = 0
+        e = 0
+        j = 0
+        while True:
+            if j >= budget:
+                raise BudgetExhausted(n, budget, what="walk did not end within the step budget")
+            j += 1
+            if cur & 1:
+                cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+                q += 1
+                if q == qcap:
+                    bl3 = _bl3_table(2 * q)
+                    qcap = len(bl3)
+                if shortcut:
                     e += 1
-                j += 1
-                if bl3[q] <= e and cur >= n:
-                    append((n, j))
-                if j > budget:
-                    raise BudgetExhausted(n, budget, what="never reached 1")
+            else:
+                cur >>= 1
+                e += 1
+                if cur < lim:
+                    if (memo[cur] if shortcut else 2 * memo[cur]) < n:
+                        break
+                    continue
+            if cur >= n and bl3[q] <= e:
+                append((n, j))
     return out
 
 

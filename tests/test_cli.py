@@ -134,9 +134,12 @@ def test_records_command(tmp_path, capsys):
 
 
 def test_budget_exhaustion_is_nonzero_exit(capsys):
+    # 3..6 end their walks within 5 steps (6 exits at 4 -> memo[4] = 4 < 6);
+    # 7 is at 20 after 5 steps
     rc = main(["search", "--range", "3..100", "--budget", "5"])
     assert rc == EXIT_FAIL
-    assert "budget" in capsys.readouterr().err.lower() or True
+    err = capsys.readouterr().err
+    assert "step budget" in err and "(n = 7, budget = 5)" in err
 
 
 def test_usage_without_command(capsys):

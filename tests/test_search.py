@@ -1,11 +1,23 @@
-import pytest
+import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import collatz_paradox
+from collatz_paradox import search
 from collatz_paradox.bounds import is_paradoxical
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
-                                    delay, enumerate_paradoxes, max_excursion,
+                                    delay, enumerate_paradoxes,
+                                    extend_excursion_memo, max_excursion,
                                     naive_paradoxes, scan_paradoxes,
                                     stopping_time, verify_cst)
+
+MEMO_FULL = 1 << 20
 
 
 def test_stopping_time():
@@ -92,6 +104,64 @@ def test_naive_oracle_equivalence_small():
         naive = naive_paradoxes(3, 800, 100, f)
         fast = [(n, j) for n, j in scan_paradoxes(3, 800, f) if j <= 100]
         assert naive == fast
+
+
+def _windows(lo: int, hi: int, width: int = 8):
+    return st.tuples(st.integers(lo, hi), st.integers(0, width)).map(
+        lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.one_of(
+           _windows(3, 9229, width=64),                             # every known hit
+           _windows(3, MEMO_FULL - 9),                              # inside the memo
+           _windows(MEMO_FULL - 8, MEMO_FULL).filter(lambda w: w[1] > MEMO_FULL),
+           _windows(MEMO_FULL + 1, 1 << 40),                        # beyond it
+           _windows(1 << 64, (1 << 64) + (1 << 40))),               # beyond int64
+       formalism=st.sampled_from(Formalism))
+def test_scan_matches_naive_oracle(window, formalism):
+    lo, hi = window
+    j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
+    assert scan_paradoxes(lo, hi, formalism) == naive_paradoxes(lo, hi, j_max, formalism)
+
+
+def test_excursion_memo_matches_max_excursion():
+    memo = array("q")
+    extend_excursion_memo(memo, 3001)
+    extend_excursion_memo(memo, 5001)   # growing in two parts gives the same entries
+    assert memo[0] == 0
+    assert list(memo[1:]) == [max_excursion(m) for m in range(1, 5001)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, MEMO_FULL - 1))
+def test_process_memo_matches_max_excursion(m):
+    assert search._memo_for_range(3, MEMO_FULL)[m] == max_excursion(m)
+
+
+def test_memo_is_lazy_and_sized_by_the_range():
+    # a fresh process: the memo is built by scans only, never at import or by
+    # the record scans, and a range far out gets only 2**16 entries
+    code = "\n".join([
+        "from collatz_paradox import records, search",
+        "assert len(search._excursion_memo) == 0",
+        "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
+        "assert len(search._excursion_memo) == 0",
+        "search.scan_paradoxes(2**40, 2**40 + 10)",
+        "assert len(search._excursion_memo) == 1 << 16",
+        "search.scan_paradoxes(3, 5000)",
+        "assert len(search._excursion_memo) == 1 << 16",
+        "search.scan_paradoxes(100000, 100010)",
+        "assert len(search._excursion_memo) == 100011",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_census_submodule_is_reachable_from_the_package():
+    rows, summary = collatz_paradox.census.census(enumerate_paradoxes(3, 30))
+    assert [(r.key(), r.count) for r in rows] == [((8, 5), 5)]
+    assert summary.distinct_starts == 5
 
 
 def test_classic_walks_stop_at_one():
