@@ -32,7 +32,7 @@ from .search import (CstReport, INFINITE, ParadoxHit, coeff_stopping_time, delay
 from .census import CensusRow, CensusSummary, render_census
 from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
                       RecordTable, compute_records, ingest_reference_records,
-                      theorem5_bound_chain)
+                      reference_path, theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,6 @@ same halvings under either map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dyadic import Dyadic
 from .dynamics import Formalism, trajectory
@@ -23,8 +22,8 @@ class CensusRow:
     count_odd_odd: int
     n_min: int
     n_max: int
-    e_min: Fraction
-    e_max: Fraction
+    e_min: Dyadic
+    e_max: Dyadic
     d_min: int
     d_max: int
 
@@ -64,7 +63,7 @@ def census(hits: list[ParadoxHit]) -> tuple[list[CensusRow], CensusSummary]:
     rows: dict[tuple[int, int], CensusRow] = {}
     for h in hits:
         key = (h.e, h.q)
-        er = h.remainder_fraction()
+        er = h.remainder
         row = rows.get(key)
         if row is None:
             rows[key] = CensusRow(h.e, h.q, 1, int(h.start_odd and h.end_odd),
@@ -114,8 +113,8 @@ def render_census(rows: list[CensusRow], summary: CensusSummary, decimals: int =
     out.append(head)
     for r in rows:
         c = r.coefficient().decimal(3)
-        e_lo = _round_fraction(r.e_min, decimals)
-        e_hi = _round_fraction(r.e_max, decimals)
+        e_lo = r.e_min.decimal(decimals)
+        e_hi = r.e_max.decimal(decimals)
         out.append(f"{f'({r.j},{r.q})':>12} {c:>8} {r.count:>5} {r.count_odd_odd:>5} "
                    f"{f'{r.n_min} - {r.n_max}':>15} {f'{e_lo} - {e_hi}':>19} "
                    f"{f'{r.d_min} - {r.d_max}':>11}")
@@ -127,13 +126,3 @@ def render_census(rows: list[CensusRow], summary: CensusSummary, decimals: int =
     out.append(f"largest d: {summary.d_max} (start {summary.d_max_start} "
                f"ends {summary.d_max_end})")
     return "\n".join(out) + "\n"
-
-
-def _round_fraction(f: Fraction, places: int) -> str:
-    scale = 10**places
-    v = (2 * abs(f.numerator) * scale + f.denominator) // (2 * f.denominator)
-    sign = "-" if f < 0 else ""
-    whole, frac = divmod(v, scale)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"

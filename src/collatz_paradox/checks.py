@@ -2,8 +2,9 @@
 
 Each check recomputes its values from scratch and compares them against the
 frozen expectations; `run_all` executes the whole scoreboard and is what the
-CLI's `check` subcommand and the acceptance tests share.  Searches are run
-once per (formalism, worker-count) and reused across checks.
+CLI's `check` subcommand and the acceptance tests share.  Searches (one per
+formalism and worker count) and reference tables (one per kind) are computed
+once and reused across checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from . import numtheory as NT
 from . import poset as P
 from .census import census
 from .dynamics import Formalism, parity_vector, trajectory
-from .records import RecordKind, compute_records, ingest_reference_records, theorem5_bound_chain
+from .records import (RecordKind, RecordTable, ingest_reference_records, reference_path,
+                      theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
 from .search import naive_paradoxes, scan_paradoxes, verify_cst
 from .vectors import ParityVector
@@ -55,6 +57,7 @@ class Scoreboard:
         self.refs_dir = refs_dir
         self.log = log or (lambda s: None)
         self._searches: dict[tuple[Formalism, int], SearchResult] = {}
+        self._tables: dict[RecordKind, RecordTable] = {}
 
     def search(self, formalism: Formalism, threads: int) -> SearchResult:
         key = (formalism, threads)
@@ -63,6 +66,14 @@ class Scoreboard:
             self._searches[key] = run_search(SearchConfig(3, 10**6, formalism),
                                              threads=threads)
         return self._searches[key]
+
+    def table(self, kind: RecordKind) -> RecordTable:
+        """The reference table of kind, its prefix checked against a local
+        scan to 10^6."""
+        if kind not in self._tables:
+            self._tables[kind] = ingest_reference_records(
+                kind, reference_path(kind, self.refs_dir), prefix_check_to=10**6)
+        return self._tables[kind]
 
     # -- criterion 1 -------------------------------------------------------
     def census_shortcut(self) -> CheckResult:
@@ -118,7 +129,8 @@ class Scoreboard:
 
     # -- criterion 6 -------------------------------------------------------
     def bound_chain(self) -> CheckResult:
-        rep = theorem5_bound_chain(self.refs_dir)
+        rep = theorem5_bound_chain(self.table(RecordKind.MAX_EXCURSION_T),
+                                   self.table(RecordKind.DELAY_COL))
         ok = (rep.m0 == 113383 and rep.j0 == 1539 and rep.q0 == 971
               and rep.delay_needed == 2510 and rep.max_known_delay == 2456
               and rep.m1 == 23035537407 and rep.j1 == 301994 and rep.consistent)
@@ -127,18 +139,11 @@ class Scoreboard:
 
     # -- criterion 7 -------------------------------------------------------
     def record_prefixes(self) -> CheckResult:
-        mex = ingest_reference_records(RecordKind.MAX_EXCURSION_T,
-                                       _ref_path(self.refs_dir, RecordKind.MAX_EXCURSION_T),
-                                       prefix_check_to=10**6)
-        dl = ingest_reference_records(RecordKind.DELAY_COL,
-                                      _ref_path(self.refs_dir, RecordKind.DELAY_COL),
-                                      prefix_check_to=10**6)
-        recs = compute_records(113383, RecordKind.MAX_EXCURSION_T)
-        last = recs[-1]
-        below = [e for e in recs if e.n < 113383]
+        self.table(RecordKind.DELAY_COL)   # ingestion raises on a prefix mismatch
+        *below, last = [e for e in self.table(RecordKind.MAX_EXCURSION_T).entries
+                        if e.n <= 113383]
         ok = (last.n == 113383 and last.value >= 10**9
-              and max(e.value for e in below) < 10**9
-              and mex.prefix_checked_to == 10**6 and dl.prefix_checked_to == 10**6)
+              and max(e.value for e in below) < 10**9)
         return CheckResult("record prefixes to 10^6 + excursion threshold at 113383",
                            ok, f"M({last.n})={last.value}")
 
@@ -280,16 +285,6 @@ class Scoreboard:
                      + (f"  [{res.detail}]" if res.detail else ""))
             out.append(res)
         return out
-
-
-def _ref_path(refs_dir, kind: RecordKind):
-    if refs_dir is None:
-        return None
-    from pathlib import Path
-
-    from .records import _DATA_FILES
-
-    return Path(refs_dir) / _DATA_FILES[kind]
 
 
 def _closure_equals_compare(j: int) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 from . import __version__
 from . import bounds as B
@@ -22,7 +21,7 @@ from .checks import run_all
 from .poset import hasse
 from .precision import Undecided
 from .records import (RecordKind, compute_records, ingest_reference_records,
-                      theorem5_bound_chain, IngestError, _DATA_FILES)
+                      reference_path, theorem5_bound_chain, IngestError)
 from .runner import SearchConfig, hits_csv_text, run_search, write_text
 from .search import DEFAULT_BUDGET, verify_cst
 
@@ -167,7 +166,9 @@ def cmd_bounds(args) -> int:
     q = args.subquery
     a = args.args
     if q == "chain":
-        rep = theorem5_bound_chain(args.refs)
+        mex, delays = (ingest_reference_records(kind, reference_path(kind, args.refs))
+                       for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL))
+        rep = theorem5_bound_chain(mex, delays)
         print("\n".join(rep.lines()))
         return EXIT_OK if rep.consistent else EXIT_FAIL
     if q == "heuristic":
@@ -232,9 +233,9 @@ def cmd_records(args) -> int:
         write_text(args.out, "\n".join(lines) + "\n")
     else:
         print("\n".join(lines))
-    if args.kind in _DATA_FILES:
+    ref_path = reference_path(args.kind, args.refs)
+    if ref_path is not None:
         try:
-            ref_path = Path(args.refs) / _DATA_FILES[args.kind] if args.refs else None
             table = ingest_reference_records(args.kind, ref_path, prefix_check_to=hi)
         except IngestError as exc:
             print(f"reference cross-check FAILED: {exc}", file=sys.stderr)

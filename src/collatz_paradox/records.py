@@ -71,22 +71,27 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
         return out
 
     if kind in (RecordKind.DELAY_COL, RecordKind.DELAY_T):
-        classic = kind is RecordKind.DELAY_COL
-        memo = array("q", bytes(8 * (n_hi + 1)))
-        for n in range(1, n_hi + 1):
-            if n == 1:
-                d = 0
-            else:
-                cur = n
-                steps = 0
-                while cur >= n:
-                    if cur & 1:
-                        cur = 3 * cur + 1 if classic else (3 * cur + 1) >> 1
-                    else:
-                        cur >>= 1
-                    steps += 1
-                d = steps + memo[cur]
-            memo[n] = d
+        # Both delays walk the compressed map; a classic odd step is 3x + 1
+        # followed by a halving, so it counts 2.  The walk meets the same
+        # first iterate below n, as the classic iterate 3x + 1 in between
+        # exceeds x >= n.
+        odd_cost = 2 if kind is RecordKind.DELAY_COL else 1
+        memo = array("q", (0, 0))   # memo[m] = delay(m) for 1 <= m < len(memo)
+        append = memo.append
+        out.append(RecordEntry(1, 0))
+        best = 0
+        for n in range(2, n_hi + 1):
+            cur = n
+            d = 0
+            while cur >= n:
+                if cur & 1:
+                    cur = (3 * cur + 1) >> 1
+                    d += odd_cost
+                else:
+                    cur >>= 1
+                    d += 1
+            d += memo[cur]
+            append(d)
             if d > best:
                 best = d
                 out.append(RecordEntry(n, d))
@@ -117,8 +122,6 @@ class RecordTable:
     source: str
     frontier_value: int | None = None        # record value at the data frontier
     frontier_holder_above: int | None = None  # its holder exceeds this bound
-    prefix_checked_to: int = 0
-    values_reverified: bool = False
 
     def smallest_holder_with_value(self, threshold: int, strict: bool = False) -> int:
         """First record holder whose value is >= threshold (> when strict).
@@ -144,23 +147,27 @@ class RecordTable:
         return self.entries[-1].n
 
 
-def default_reference_path(kind: RecordKind) -> Path:
-    return Path(str(resources.files("collatz_paradox") / "data" / _DATA_FILES[kind]))
+def reference_path(kind: RecordKind, refs_dir: str | Path | None = None) -> Path | None:
+    """The reference table of kind: the packaged file, or the file of the same
+    name in refs_dir; None for a kind without a table."""
+    name = _DATA_FILES.get(kind)
+    if name is None:
+        return None
+    if refs_dir is None:
+        return Path(str(resources.files("collatz_paradox") / "data" / name))
+    return Path(refs_dir) / name
 
 
-def ingest_reference_records(kind: RecordKind, path: str | Path | None = None,
-                             prefix_check_to: int = 100_000,
-                             verify_values: bool = True) -> RecordTable:
+def ingest_reference_records(kind: RecordKind, path: str | Path,
+                             prefix_check_to: int = 100_000) -> RecordTable:
     """Parse a reference record table and cross-check it against local scans.
 
     - every data line must be "n value" with both columns strictly increasing;
     - the prefix with n <= prefix_check_to must equal the locally computed
       record list exactly (a mismatch is a data-integrity error);
-    - with verify_values, the statistic of every holder is recomputed by a
+    - the statistic of every holder beyond that prefix is recomputed by a
       direct trajectory and must match the stored value.
     """
-    if path is None:
-        path = default_reference_path(kind)
     path = Path(path)
     entries: list[RecordEntry] = []
     frontier_value = None
@@ -200,18 +207,16 @@ def ingest_reference_records(kind: RecordKind, path: str | Path | None = None,
                 f"the locally computed records (file {len(file_prefix)} entries, "
                 f"local {len(local)})")
 
-    if verify_values:
-        for e in entries:
-            if e.n > prefix_check_to:   # prefix entries were already verified wholesale
-                got = recompute_value(e.n, kind)
-                if got != e.value:
-                    raise IngestError(
-                        f"{path}: stored value for {e.n} is {e.value}, recomputed {got}")
+    for e in entries:
+        if e.n > prefix_check_to:   # prefix entries were already verified wholesale
+            got = recompute_value(e.n, kind)
+            if got != e.value:
+                raise IngestError(
+                    f"{path}: stored value for {e.n} is {e.value}, recomputed {got}")
 
     if frontier_value is not None and entries[-1].value > frontier_value:
         raise IngestError(f"{path}: frontier value below the last entry")
-    return RecordTable(kind, entries, str(path), frontier_value, frontier_holder_above,
-                       prefix_check_to, verify_values)
+    return RecordTable(kind, entries, str(path), frontier_value, frontier_holder_above)
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +262,17 @@ class BoundChainReport:
         ]
 
 
-def theorem5_bound_chain(refs_dir: str | Path | None = None, n0: int = 10**9,
-                         prefix_check_to: int = 100_000) -> BoundChainReport:
-    """Recompute the bound chain from the ingested reference tables.
+def theorem5_bound_chain(mex: RecordTable, delays: RecordTable,
+                         n0: int = 10**9) -> BoundChainReport:
+    """Recompute the bound chain from the ingested max-excursion and classic
+    delay tables.
 
-    Every number in the report is derived here: table lookups use the parsed
-    files, and the j/q bounds are exact big-integer computations.
+    Every number in the report is derived here: table lookups use the
+    ingested tables, and the j/q bounds are exact big-integer computations.
     """
-    mex_path = delay_path = None
-    if refs_dir is not None:
-        refs_dir = Path(refs_dir)
-        mex_path = refs_dir / _DATA_FILES[RecordKind.MAX_EXCURSION_T]
-        delay_path = refs_dir / _DATA_FILES[RecordKind.DELAY_COL]
-    mex = ingest_reference_records(RecordKind.MAX_EXCURSION_T, mex_path,
-                                   prefix_check_to=prefix_check_to)
-    delays = ingest_reference_records(RecordKind.DELAY_COL, delay_path,
-                                      prefix_check_to=prefix_check_to)
-
+    if mex.kind is not RecordKind.MAX_EXCURSION_T or delays.kind is not RecordKind.DELAY_COL:
+        raise ValueError("the bound chain needs a max-excursion-t and a delay-col table, "
+                         f"got {mex.kind.value} and {delays.kind.value}")
     m0 = mex.smallest_holder_with_value(n0)
     j0 = smallest_harmonic_cap_j(m0)
     q0 = coefficient_ceiling_q(j0, m0)

@@ -2,8 +2,9 @@
 
 The range splits into fixed-size blocks handed to a process pool; workers
 share nothing, and the collector merges per-block results in block order, so
-the output is identical for any worker count.  After every finished block the
-checkpoint file is rewritten atomically (write-to-temp + rename); a run
+the output is identical for any worker count.  A block that raises ends the
+run; blocks not yet started are cancelled.  After every finished block the
+checkpoint file is rewritten atomically (write-to-temp, fsync, rename); a run
 killed at any point resumes from the surviving checkpoint and produces the
 same bytes as an uninterrupted run.
 
@@ -18,6 +19,7 @@ Checkpoint format (plain text, one key=value per line):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
@@ -80,6 +82,10 @@ class CheckpointMismatch(ValueError):
     pass
 
 
+class CheckpointCorrupt(ValueError):
+    """A checkpoint file that cannot be read as a version-1 checkpoint."""
+
+
 class _Checkpoint:
     def __init__(self, path: Path, cfg: SearchConfig):
         self.path = path
@@ -91,20 +97,28 @@ class _Checkpoint:
             return
         done: set[int] = set()
         hits: dict[int, list[tuple[int, int]]] = {}
-        digest = None
+        version = digest = None
         with self.path.open() as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                if key == "digest":
-                    digest = val
-                elif key == "done":
-                    done.add(int(val))
-                elif key == "hit":
-                    b, n, j = (int(x) for x in val.split(","))
-                    hits.setdefault(b, []).append((n, j))
+                try:
+                    if key == "version":
+                        version = val
+                    elif key == "digest":
+                        digest = val
+                    elif key == "done":
+                        done.add(int(val))
+                    elif key == "hit":
+                        b, n, j = (int(x) for x in val.split(","))
+                        hits.setdefault(b, []).append((n, j))
+                except ValueError:
+                    raise CheckpointCorrupt(
+                        f"{self.path}:{lineno}: cannot parse {line!r}") from None
+        if version != "1":
+            raise CheckpointCorrupt(f"{self.path}: checkpoint version {version}, expected 1")
         if digest != self.cfg.digest():
             raise CheckpointMismatch(
                 f"{self.path} belongs to a different search configuration")
@@ -131,6 +145,8 @@ class _Checkpoint:
                 for b in sorted(self.done):
                     for n, j in self.done[b]:
                         fh.write(f"hit={b},{n},{j}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, self.path)
         except BaseException:
             try:
@@ -140,9 +156,11 @@ class _Checkpoint:
             raise
 
 
-def _scan_block_task(args: tuple[int, int, int, Formalism, int]) -> tuple[int, list[tuple[int, int]]]:
-    idx, lo, hi, formalism, budget = args
-    return idx, scan_paradoxes(lo, hi, formalism, budget)
+def _scan_block_task(args: tuple[int, int, Formalism, int]) -> list[tuple[int, int]]:
+    # Module-level, so a pool can pickle it by name; scan_paradoxes is looked
+    # up when it runs.
+    lo, hi, formalism, budget = args
+    return scan_paradoxes(lo, hi, formalism, budget)
 
 
 def run_search(cfg: SearchConfig, threads: int = 1,
@@ -169,22 +187,18 @@ def run_search(cfg: SearchConfig, threads: int = 1,
     if max_blocks is not None:
         pending = pending[:max_blocks]
 
-    if threads == 1 or len(pending) <= 1:
-        for idx, lo, hi in pending:
-            _, pairs = _scan_block_task((idx, lo, hi, cfg.formalism, cfg.budget))
+    tasks = [(lo, hi, cfg.formalism, cfg.budget) for _, lo, hi in pending]
+    with contextlib.ExitStack() as stack:
+        if threads == 1 or len(pending) <= 1:
+            results = map(_scan_block_task, tasks)
+        else:
+            # Executor.map cancels the blocks not yet started once one raises.
+            pool = stack.enter_context(futures.ProcessPoolExecutor(max_workers=threads))
+            results = pool.map(_scan_block_task, tasks)
+        for (idx, _, _), pairs in zip(pending, results):
             done[idx] = pairs
             if ckpt is not None:
                 ckpt.record(idx, pairs)
-    else:
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            fs = {pool.submit(_scan_block_task,
-                              (idx, lo, hi, cfg.formalism, cfg.budget)): idx
-                  for idx, lo, hi in pending}
-            for fut in futures.as_completed(fs):
-                idx, pairs = fut.result()
-                done[idx] = pairs
-                if ckpt is not None:
-                    ckpt.record(idx, pairs)
 
     complete = len(done) == len(blocks)
     pairs: list[tuple[int, int]] = []

@@ -210,10 +210,9 @@ class ParadoxHit:
     def coefficient(self) -> Dyadic:
         return Dyadic(self.c_num, self.e)
 
-    def remainder_fraction(self):
-        from fractions import Fraction
-
-        return Fraction(self.e_num, self.e_den)
+    @property
+    def remainder(self) -> Dyadic:
+        return Dyadic(self.e_num, self.e_den.bit_length() - 1)
 
     def csv_row(self) -> str:
         return (f"{self.n},{self.j},{self.q},{self.c_num},{self.c_den},"

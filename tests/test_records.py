@@ -2,10 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from collatz_paradox.records import (IngestError, RecordKind, compute_records,
-                                     default_reference_path,
-                                     ingest_reference_records, recompute_value,
+from collatz_paradox.dynamics import Formalism
+from collatz_paradox.records import (IngestError, RecordEntry, RecordKind,
+                                     compute_records, ingest_reference_records,
+                                     recompute_value, reference_path,
                                      theorem5_bound_chain)
+from collatz_paradox.search import delay
 
 
 def test_max_excursion_record_prefix():
@@ -25,6 +27,17 @@ def test_delay_record_prefixes():
     assert dict((e.n, e.value) for e in t)[27] == 70
 
 
+@pytest.mark.parametrize("kind, formalism", [(RecordKind.DELAY_T, Formalism.SHORTCUT),
+                                             (RecordKind.DELAY_COL, Formalism.CLASSIC)])
+def test_delay_records_match_running_maximum(kind, formalism):
+    expected = []
+    for n in range(1, 20001):
+        d = delay(n, formalism)
+        if not expected or d > expected[-1].value:
+            expected.append(RecordEntry(n, d))
+    assert compute_records(20000, kind) == expected
+
+
 def test_recompute_value():
     assert recompute_value(27, RecordKind.MAX_EXCURSION_T) == 4616
     assert recompute_value(27, RecordKind.DELAY_COL) == 111
@@ -32,11 +45,14 @@ def test_recompute_value():
 
 
 def test_ingest_packaged_tables():
-    mex = ingest_reference_records(RecordKind.MAX_EXCURSION_T, prefix_check_to=20000)
+    mex = ingest_reference_records(RecordKind.MAX_EXCURSION_T,
+                                   reference_path(RecordKind.MAX_EXCURSION_T),
+                                   prefix_check_to=20000)
     assert mex.entries[0] == mex.entries[0].__class__(1, 1)
     assert mex.smallest_holder_with_value(10**9) == 113383
     assert mex.smallest_holder_with_value(28 * 10**18, strict=True) == 23035537407
-    dl = ingest_reference_records(RecordKind.DELAY_COL, prefix_check_to=20000)
+    dl = ingest_reference_records(RecordKind.DELAY_COL, reference_path(RecordKind.DELAY_COL),
+                                  prefix_check_to=20000)
     assert dl.frontier_value == 2456
     assert dl.max_record_value() == 2456
     assert dl.frontier_holder_bound() == 28 * 10**18
@@ -46,31 +62,28 @@ def test_ingest_rejects_malformed_lines(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("# header\n1 1\n2\n")
     with pytest.raises(IngestError, match="bad.txt:3"):
-        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=0,
-                                 verify_values=False)
+        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=0)
 
 
 def test_ingest_rejects_non_monotone(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 1\n2 2\n3 2\n")
     with pytest.raises(IngestError, match="strictly increase"):
-        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=0,
-                                 verify_values=False)
+        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=0)
 
 
 def test_ingest_rejects_prefix_mismatch(tmp_path):
-    src = default_reference_path(RecordKind.MAX_EXCURSION_T).read_text()
+    src = reference_path(RecordKind.MAX_EXCURSION_T).read_text()
     lines = [l for l in src.splitlines() if not l.startswith("#")]
     lines[3] = "8 26"   # wrong holder for the fourth record
     p = tmp_path / "tampered.txt"
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestError, match="prefix"):
-        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=100,
-                                 verify_values=False)
+        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=100)
 
 
 def test_ingest_rejects_wrong_value(tmp_path):
-    src = default_reference_path(RecordKind.MAX_EXCURSION_T).read_text()
+    src = reference_path(RecordKind.MAX_EXCURSION_T).read_text()
     lines = src.splitlines()
     out = []
     for l in lines:
@@ -83,8 +96,22 @@ def test_ingest_rejects_wrong_value(tmp_path):
         ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=100)
 
 
+def _ingest_both(refs_dir=None, prefix_check_to=10**4):
+    return [ingest_reference_records(kind, reference_path(kind, refs_dir), prefix_check_to)
+            for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL)]
+
+
+def test_reference_path():
+    for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL):
+        packaged = reference_path(kind)
+        assert packaged.is_file()
+        assert reference_path(kind, "refs") == Path("refs") / packaged.name
+    assert reference_path(RecordKind.DELAY_T) is None
+    assert reference_path(RecordKind.DELAY_T, "refs") is None
+
+
 def test_bound_chain_values():
-    rep = theorem5_bound_chain(prefix_check_to=10**4)
+    rep = theorem5_bound_chain(*_ingest_both())
     assert rep.m0 == 113383
     assert rep.j0 == 1539
     assert rep.q0 == 971
@@ -100,7 +127,14 @@ def test_bound_chain_custom_refs_dir(tmp_path):
     refs = tmp_path / "refs"
     refs.mkdir()
     for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL):
-        src = default_reference_path(kind)
+        src = reference_path(kind)
         (refs / src.name).write_text(src.read_text())
-    rep = theorem5_bound_chain(refs, prefix_check_to=10**3)
-    assert rep.j1 == 301994
+    mex, delays = _ingest_both(refs, prefix_check_to=10**3)
+    assert Path(mex.source).parent == refs and Path(delays.source).parent == refs
+    assert theorem5_bound_chain(mex, delays).j1 == 301994
+
+
+def test_bound_chain_rejects_wrong_kinds():
+    mex, delays = _ingest_both(prefix_check_to=10**3)
+    with pytest.raises(ValueError, match="max-excursion-t and a delay-col"):
+        theorem5_bound_chain(delays, mex)

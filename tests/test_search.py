@@ -177,3 +177,16 @@ def test_verify_cst():
         verify_cst(1, 10)
     rep = verify_cst(2, 2)
     assert rep.ok and rep.checked == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.one_of(_windows(2, 5000, width=64), _windows(2, 1 << 40),
+                        _windows(1 << 64, (1 << 64) + (1 << 40))))
+def test_verify_cst_matches_scalar_oracles(window):
+    lo, hi = window
+    bad = [(n, coeff_stopping_time(n), stopping_time(n)) for n in range(lo, hi + 1)
+           if coeff_stopping_time(n) != stopping_time(n)]
+    rep = verify_cst(lo, hi)
+    assert rep.checked == hi - lo + 1
+    assert rep.counterexamples == bad
+    assert rep.max_gap == max((t - tau for _, tau, t in bad), default=0)
