@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 10
+EXIT_INTERRUPTED = 130   # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def parse_bound(s: str) -> int:
@@ -236,7 +237,8 @@ def cmd_records(args) -> int:
     ref_path = reference_path(args.kind, args.refs)
     if ref_path is not None:
         try:
-            table = ingest_reference_records(args.kind, ref_path, prefix_check_to=hi)
+            table = ingest_reference_records(args.kind, ref_path, prefix_check_to=hi,
+                                             local=recs)
         except IngestError as exc:
             print(f"reference cross-check FAILED: {exc}", file=sys.stderr)
             return EXIT_FAIL
@@ -274,6 +276,13 @@ def main(argv=None) -> int:
     except (Undecided, IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except KeyboardInterrupt:
+        # A search checkpoint is rewritten atomically after each block, so
+        # the one on disk holds every block finished before the interrupt.
+        checkpoint = getattr(args, "checkpoint", None)
+        print("interrupted" + (f"; resume from checkpoint {checkpoint}" if checkpoint else ""),
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -159,12 +159,15 @@ def reference_path(kind: RecordKind, refs_dir: str | Path | None = None) -> Path
 
 
 def ingest_reference_records(kind: RecordKind, path: str | Path,
-                             prefix_check_to: int = 100_000) -> RecordTable:
+                             prefix_check_to: int = 100_000,
+                             local: list[RecordEntry] | None = None) -> RecordTable:
     """Parse a reference record table and cross-check it against local scans.
 
     - every data line must be "n value" with both columns strictly increasing;
     - the prefix with n <= prefix_check_to must equal the locally computed
-      record list exactly (a mismatch is a data-integrity error);
+      record list exactly (a mismatch is a data-integrity error); a caller
+      that already holds compute_records(N, kind) for some N >=
+      prefix_check_to passes it as local, and it is read instead of a new scan;
     - the statistic of every holder beyond that prefix is recomputed by a
       direct trajectory and must match the stored value.
     """
@@ -198,9 +201,11 @@ def ingest_reference_records(kind: RecordKind, path: str | Path,
         raise IngestError(f"{path}: no data lines")
 
     if prefix_check_to:
-        local = compute_records(min(prefix_check_to, entries[-1].n), kind)
+        upto = min(prefix_check_to, entries[-1].n)
+        if local is None:
+            local = compute_records(upto, kind)
         file_prefix = [e for e in entries if e.n <= prefix_check_to]
-        local = [e for e in local if e.n <= prefix_check_to]
+        local = [e for e in local if e.n <= upto]
         if file_prefix != local:
             raise IngestError(
                 f"{path}: record prefix up to {prefix_check_to} does not match "

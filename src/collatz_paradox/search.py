@@ -4,7 +4,9 @@ The enumeration walks every start once, maintaining only (iterate, odd-count,
 halving-count); the coefficient test 3**q < 2**e reduces to a table lookup of
 bit lengths, so the hot loop does no big-number arithmetic at all.  Exact
 coefficients and remainders are reconstructed per hit afterwards (hits are
-rare).
+rare).  Both maps walk the compressed map T: a classic odd step x -> 3x + 1
+-> T(x) is one compressed step that counts 2, and the classic iterate
+3x + 1 = 2 * T(x) it passes is tested on the way.
 
 A walk from n ends as soon as no later step can be a hit.  A hit needs an
 iterate >= n, so once a halving step lands on cur < n whose greatest
@@ -16,6 +18,13 @@ never runs into the trivial cycle: for starts >= 3 nothing after it reaches
 the start again under the compressed map, and for the classic map this
 matches the published census convention (continuing into the 1-4-2 cycle
 would only ever admit the trivial starts 3 and 4).
+
+Starts beyond the memo must fall below its end before the exit can fire, so
+their walks are long.  There the walk takes exact K-step jumps from a table
+of 2**K rows (the 2**k-step tables of T. Oliveira e Silva, "Empirical
+verification of the 3x+1 and related conjectures", 2010), wherever the row's
+bounds prove that no iterate inside the jump is a hit or can end the walk;
+see scan_paradoxes.
 """
 
 from __future__ import annotations
@@ -163,7 +172,7 @@ def extend_excursion_memo(memo: array, size: int) -> None:
 _MEMO_FULL = 1 << 20    # 8 MB of int64, about 0.6 s to build
 _MEMO_FAR = 1 << 16     # about 0.03 s to build
 _excursion_memo = array("q")   # this process's memo; grown on demand, never shrunk
-_excursion_memo_lock = threading.Lock()
+_tables_lock = threading.Lock()   # guards the growth of the memo and the jump table
 
 
 def _memo_for_range(n_lo: int, n_hi: int) -> array:
@@ -177,9 +186,45 @@ def _memo_for_range(n_lo: int, n_hi: int) -> array:
     """
     size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
     if len(_excursion_memo) < size:
-        with _excursion_memo_lock:
+        with _tables_lock:
             extend_excursion_memo(_excursion_memo, size)
     return _excursion_memo
+
+
+JUMP_K = 8                       # steps per jump; 2**K rows of six ints each
+_JUMP_MASK = (1 << JUMP_K) - 1
+_jump_table: list[tuple[int, int, int, int, int, int]] = []   # built on first use
+
+
+def _jump_rows() -> list[tuple[int, int, int, int, int, int]]:
+    """Row r < 2**K is (a, c, dq, gmin, gmax, hmax).  For every x = r mod 2**K,
+    T**K(x) = (a*x + c) >> K with dq odd steps, and each iterate y_i
+    (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
+
+    After i steps y_i = (3**q_i * x + c_i) / 2**i, so y_i * 2**K = g_i*x + h_i
+    with g_i = 3**q_i * 2**(K-i) and h_i = c_i * 2**(K-i) >= 0; the row keeps
+    their least and greatest g and the greatest h.  The parity of y_i (i < K)
+    depends on r only, so the walk of r itself fixes the row.
+    """
+    if not _jump_table:
+        rows = []
+        for r in range(1 << JUMP_K):
+            y, q, c = r, 0, 0
+            gs, hs = [], []
+            for i in range(1, JUMP_K + 1):
+                if y & 1:
+                    y = (3 * y + 1) >> 1
+                    c = 3 * c + (1 << (i - 1))
+                    q += 1
+                else:
+                    y >>= 1
+                gs.append(3**q << (JUMP_K - i))
+                hs.append(c << (JUMP_K - i))
+            rows.append((3**q, c, q, min(gs), max(gs), max(hs)))
+        with _tables_lock:
+            if not _jump_table:
+                _jump_table.extend(rows)
+    return _jump_table
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +286,29 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                    budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     """Raw (n, j) pairs of every paradox with n_lo <= n <= n_hi, sorted.
 
-    This is the hot loop.  Each walk ends at the first halving step onto
-    some cur < n whose excursion memo[cur] is below n (2 * memo[cur] < n
-    under the classic map); see the module docstring for why no hit is lost.
-    The budget caps the steps one walk may take before that exit; a start
-    that needs more raises BudgetExhausted.
+    This is the hot loop.  Both maps walk compressed steps with counts q (odd
+    steps) and e (halvings); j = e on the shortcut map and j = e + q on the
+    classic map, where a compressed odd step x -> T(x) stands for x -> 3x + 1
+    -> T(x).  So the classic map also tests 3x + 1 = 2 * T(x), at step
+    j - 1 with one halving fewer: a hit when 2 * T(x) >= n and bl3[q] < e.
+
+    Each walk ends at the first halving step onto some cur < lim (lim = n
+    inside the memo, its length beyond) whose excursion memo[cur] is below
+    thr, where thr = n on the shortcut map and (n + 1) >> 1 on the classic
+    map (2 * memo[cur] < n); see the module docstring for why no hit is lost.
+
+    Where a halving lands on lim <= cur < n, which happens only beyond the
+    memo, the walk takes K-step jumps (K = JUMP_K) while the row bounds of
+    _jump_rows() put every iterate inside the jump in [lim, thr).  Such an
+    iterate is no hit, nor is its 3x + 1, and it cannot end the walk, so the
+    jump is exact.
+
+    The budget caps the steps one walk may take before its exit; a start that
+    needs more raises BudgetExhausted.  The check runs at the exit and at
+    halvings onto cur >= lim: a walk that is past the budget and has not
+    exited needs more steps, whether it got there by steps or by a jump, and
+    an endless walk never lands below lim (from there the memoised
+    trajectory leads to 1, where the walk exits).
     """
     if n_lo < 3:
         raise ValueError("enumeration starts at 3 (1 and 2 have infinitely many hits)")
@@ -255,36 +318,56 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     qcap = len(bl3)
     memo = _memo_for_range(n_lo, n_hi)
     size = len(memo)
+    rows = _jump_rows() if n_hi >= size else None
     out: list[tuple[int, int]] = []
     append = out.append
-    shortcut = formalism is Formalism.SHORTCUT
+    classic = formalism is Formalism.CLASSIC
+    half = 1 if classic else 0      # thr = (n + half) >> half
     for n in range(n_lo, n_hi + 1):
         lim = n if n < size else size
+        thr = (n + half) >> half
         cur = n
         q = 0
         e = 0
-        j = 0
         while True:
-            if j >= budget:
-                raise BudgetExhausted(n, budget, what="walk did not end within the step budget")
-            j += 1
             if cur & 1:
-                cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+                cur = (3 * cur + 1) >> 1
                 q += 1
+                e += 1
                 if q == qcap:
                     bl3 = _bl3_table(2 * q)
                     qcap = len(bl3)
-                if shortcut:
-                    e += 1
-            else:
-                cur >>= 1
-                e += 1
-                if cur < lim:
-                    if (memo[cur] if shortcut else 2 * memo[cur]) < n:
+                if cur >= thr:
+                    if classic and bl3[q] < e:
+                        append((n, e + q - 1))
+                    if cur >= n and bl3[q] <= e:
+                        append((n, e + q if classic else e))
+                continue
+            cur >>= 1
+            e += 1
+            if cur < lim:
+                if memo[cur] < thr:
+                    break
+                continue
+            if e > budget:   # so j > budget: raised below
+                break
+            if cur < n:
+                lim_k = lim << JUMP_K
+                thr_k = thr << JUMP_K
+                while True:
+                    a, c, dq, gmin, gmax, hmax = rows[cur & _JUMP_MASK]
+                    if gmin * cur < lim_k or gmax * cur + hmax >= thr_k:
                         break
-                    continue
-            if cur >= n and bl3[q] <= e:
-                append((n, j))
+                    cur = (a * cur + c) >> JUMP_K
+                    q += dq
+                    e += JUMP_K
+                    if q >= qcap:
+                        bl3 = _bl3_table(2 * q)
+                        qcap = len(bl3)
+            elif bl3[q] <= e:
+                append((n, e + q if classic else e))
+        if (e + q if classic else e) > budget:
+            raise BudgetExhausted(n, budget, what="walk did not end within the step budget")
     return out
 
 

@@ -1,8 +1,16 @@
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from collatz_paradox.cli import EXIT_FAIL, EXIT_INCOMPLETE, EXIT_OK, main, parse_bound, parse_range
+import collatz_paradox
+from collatz_paradox import cli, records
+from collatz_paradox.cli import (EXIT_FAIL, EXIT_INCOMPLETE, EXIT_INTERRUPTED, EXIT_OK, main,
+                                 parse_bound, parse_range)
 
 
 def test_parse_bound_forms():
@@ -140,6 +148,56 @@ def test_budget_exhaustion_is_nonzero_exit(capsys):
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "step budget" in err and "(n = 7, budget = 5)" in err
+    # classic: 3 -> 10 -> 5 -> 16 -> 8 -> 4 -> 2 needs 6 steps before
+    # 2 * memo[2] = 4 < 3 fails and 1 ends it
+    rc = main(["search", "--range", "3..100", "--formalism", "classic", "--budget", "5"])
+    assert rc == EXIT_FAIL
+    assert "(n = 3, budget = 5)" in capsys.readouterr().err
+
+
+def test_records_command_scans_once(monkeypatch, capsys):
+    calls = []
+    real = records.compute_records
+
+    def counting(n_hi, kind):
+        calls.append(n_hi)
+        return real(n_hi, kind)
+
+    monkeypatch.setattr(records, "compute_records", counting)
+    monkeypatch.setattr(cli, "compute_records", counting)
+    assert main(["records", "--kind", "delay-col", "--range", "1..20000"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert calls == [20000]
+    assert captured.out.splitlines()[-1] == "17647 278"
+    assert "reference cross-check ok" in captured.err
+
+
+def test_ctrl_c_leaves_a_resumable_checkpoint(tmp_path):
+    ck = tmp_path / "ck.txt"
+    args = ["search", "--range", "3..300000", "--formalism", "classic",
+            "--block-size", "4096", "--no-timestamp"]
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    run = [sys.executable, "-m", "collatz_paradox.cli", *args, "--threads", "2",
+           "--checkpoint", str(ck), "--out", str(tmp_path / "resumed.csv")]
+    proc = subprocess.Popen(run, env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (ck.exists() and "done=" in ck.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == EXIT_INTERRUPTED
+    assert f"interrupted; resume from checkpoint {ck}" in err
+    assert not (tmp_path / "resumed.csv").exists()
+    resumed = subprocess.run(run, env=env, capture_output=True, text=True)
+    assert resumed.returncode == EXIT_OK, resumed.stderr
+    assert main([*args, "--out", str(tmp_path / "whole.csv")]) == EXIT_OK
+    assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_usage_without_command(capsys):

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -141,21 +142,99 @@ def test_process_memo_matches_max_excursion(m):
 
 def test_memo_is_lazy_and_sized_by_the_range():
     # a fresh process: the memo is built by scans only, never at import or by
-    # the record scans, and a range far out gets only 2**16 entries
+    # the record scans, and a range far out gets only 2**16 entries; the jump
+    # rows are built by the first scan that reaches past the memo
     code = "\n".join([
         "from collatz_paradox import records, search",
-        "assert len(search._excursion_memo) == 0",
+        "assert len(search._excursion_memo) == 0 and len(search._jump_table) == 0",
         "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
         "assert len(search._excursion_memo) == 0",
+        "search.scan_paradoxes(3, 5000, search.Formalism.CLASSIC)",
+        "assert len(search._excursion_memo) == 5001 and len(search._jump_table) == 0",
         "search.scan_paradoxes(2**40, 2**40 + 10)",
         "assert len(search._excursion_memo) == 1 << 16",
+        "assert len(search._jump_table) == 1 << search.JUMP_K",
         "search.scan_paradoxes(3, 5000)",
         "assert len(search._excursion_memo) == 1 << 16",
         "search.scan_paradoxes(100000, 100010)",
         "assert len(search._excursion_memo) == 100011",
+        "assert len(search._jump_table) == 1 << search.JUMP_K",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _compressed_steps(x: int, k: int) -> tuple[list[int], int]:
+    ys, q = [], 0
+    for _ in range(k):
+        if x & 1:
+            x = (3 * x + 1) >> 1
+            q += 1
+        else:
+            x >>= 1
+        ys.append(x)
+    return ys, q
+
+
+def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
+    k = search.JUMP_K
+    rows = search._jump_rows()
+    assert len(rows) == 1 << k
+    for r, (a, c, dq, gmin, gmax, hmax) in enumerate(rows):
+        for t in (0, 1, 2, 12345, (1 << 40) + 7, (1 << 64) // (1 << k) + 3, 1 << 90):
+            x = (t << k) + r
+            ys, q = _compressed_steps(x, k)
+            assert (a * x + c) >> k == ys[-1] and dq == q
+            for y in ys:
+                assert gmin * x <= y << k <= gmax * x + hmax
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_memo(size: int):
+    memo = array("q")
+    extend_excursion_memo(memo, size)
+    return lambda n_lo, n_hi: memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=_windows(3, 9229, width=64), formalism=st.sampled_from(Formalism))
+def test_jumps_among_real_hits_match_naive_oracle(window, formalism):
+    # A 64-entry memo puts every start >= 64 "far out", so the walks jump
+    # through the range where the known hits lie.
+    lo, hi = window
+    j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo_for_range", _fresh_memo(64))
+        fast = scan_paradoxes(lo, hi, formalism)
+    assert fast == naive_paradoxes(lo, hi, j_max, formalism)
+
+
+def _walk_length(n: int, formalism: Formalism) -> int:
+    # Step by step on the given map, ending at the first halving onto
+    # cur < 2**16 whose compressed-map excursion is below n (2 * it, classic).
+    shortcut = formalism is Formalism.SHORTCUT
+    factor = 1 if shortcut else 2
+    cur, j = n, 0
+    while True:
+        j += 1
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+            continue
+        cur >>= 1
+        if cur < 1 << 16 and factor * max_excursion(cur) < n:
+            return j
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("n", [10**9 + 1, 1410123942, 2**64 + 1, 2**64 + 27, 28 * 10**18 - 1])
+def test_budget_pins_the_walk_length_beyond_the_memo(n, formalism, monkeypatch):
+    # The process memo may have grown past 2**16 in earlier tests; a longer
+    # memo ends far walks sooner, so pin the one a fresh far scan builds.
+    monkeypatch.setattr(search, "_memo_for_range", _fresh_memo(1 << 16))
+    length = _walk_length(n, formalism)
+    assert scan_paradoxes(n, n, formalism, budget=length) == []
+    with pytest.raises(BudgetExhausted, match=rf"\(n = {n}, budget = {length - 1}\)"):
+        scan_paradoxes(n, n, formalism, budget=length - 1)
 
 
 def test_census_submodule_is_reachable_from_the_package():
