@@ -10,15 +10,13 @@ Diophantine machinery, all of it in exact integer arithmetic.
 __version__ = "0.1.0"
 
 from .dyadic import Dyadic
-from .dynamics import (BudgetExhausted, Formalism, Trajectory, parity_vector,
-                       step, trajectory)
+from .dynamics import BudgetExhausted, Formalism, Trajectory, step, trajectory
 from .vectors import ParityVector
 from .poset import (HasseDiagram, PosetRelation, all_vectors, compare, covers,
                     hasse, check_remainder_monotonicity)
-from .bounds import (EnRatioBounds, ParadoxWitness, RemainderBounds,
-                     coefficient_ceiling_q, en_ratio_bounds, floor_log_ratio,
-                     harmonic_cap_holds, harmonic_mean_odd_terms, is_paradoxical,
-                     mean_remainder, ones_ratio_window, paradox_witness,
+from .bounds import (EnRatioBounds, RemainderBounds, coefficient_ceiling_q,
+                     en_ratio_bounds, floor_log_ratio, harmonic_cap_holds,
+                     harmonic_mean_odd_terms, mean_remainder, ones_ratio_window,
                      remainder_bounds, small_j_classification,
                      smallest_harmonic_cap_j)
 from .numtheory import (ApproxPair, Convergent, DivergenceWitness, approx_pairs,
@@ -27,8 +25,8 @@ from .numtheory import (ApproxPair, Convergent, DivergenceWitness, approx_pairs,
                         rhin_gap_ok)
 from .precision import Undecided
 from .search import (CstReport, INFINITE, ParadoxHit, coeff_stopping_time, delay,
-                     enumerate_paradoxes, max_excursion, naive_paradoxes,
-                     scan_paradoxes, stopping_time, verify_cst)
+                     max_excursion, naive_paradoxes, scan_paradoxes, stopping_time,
+                     verify_cst)
 from .census import CensusRow, CensusSummary, render_census
 from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
                       RecordTable, compute_records, ingest_reference_records,

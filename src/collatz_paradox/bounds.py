@@ -100,28 +100,8 @@ def mean_remainder(j: int, formalism: Formalism = Formalism.SHORTCUT) -> Fractio
 
 
 # ---------------------------------------------------------------------------
-# The paradox criterion and the E/n window
+# The harmonic mean and the E/n window
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParadoxWitness:
-    paradoxical: bool
-    C: Dyadic
-    E: Dyadic
-    d: int               # last - first (negative when not paradoxical is fine)
-
-
-def paradox_witness(traj: Trajectory) -> ParadoxWitness:
-    """Decide coefficient < 1 together with last >= first, exactly."""
-    if traj.j < 1:
-        raise ValueError("trajectory must have at least one step")
-    ok = traj.coefficient_lt_one() and traj.last() >= traj.start
-    return ParadoxWitness(ok, traj.coefficient(), traj.remainder(), traj.last() - traj.start)
-
-
-def is_paradoxical(traj: Trajectory) -> bool:
-    return paradox_witness(traj).paradoxical
 
 
 def harmonic_mean_odd_terms(traj: Trajectory) -> Fraction:
@@ -254,4 +234,4 @@ def small_j_classification(j: int) -> set[int]:
         return set()
     if harmonic_cap_holds(j, 3):
         raise AssertionError(f"H({j}) >= 3; classification argument does not apply")
-    return {n for n in (1, 2) if is_paradoxical(trajectory(n, j))}
+    return {n for n in (1, 2) if trajectory(n, j).is_paradoxical()}

@@ -18,12 +18,11 @@ from . import bounds as B
 from . import numtheory as NT
 from . import poset as P
 from .census import census
-from .dynamics import Formalism, parity_vector, trajectory
+from .dynamics import Formalism, trajectory
 from .records import (RecordKind, RecordTable, ingest_reference_records, reference_path,
                       theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
 from .search import naive_paradoxes, scan_paradoxes, verify_cst
-from .vectors import ParityVector
 
 THREAD_COUNTS = (1, 4, 8)
 
@@ -288,11 +287,11 @@ class Scoreboard:
 
 
 def _closure_equals_compare(j: int) -> bool:
-    """BFS closure of the adjacent-swap relation vs the prefix-sum criterion."""
+    """Reachability in the cover graph vs the prefix-sum criterion."""
     for q in range(j + 1):
-        nodes = P.all_vectors(j, q)
-        index = {v: i for i, v in enumerate(nodes)}
-        succ = [[index[w] for w in P.covers(v)] for v in nodes]
+        diagram = P.hasse(j, q)
+        nodes = diagram.nodes
+        succ = diagram.successors()
         for i, v in enumerate(nodes):
             reach = set()
             stack = list(succ[i])

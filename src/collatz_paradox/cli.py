@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 from . import __version__
 from . import bounds as B
@@ -202,7 +203,7 @@ def cmd_bounds(args) -> int:
         j = int(a[0])
         m = B.mean_remainder(j)
         print(f"mean remainder over one period at length {j}: {m} "
-              f"(= j/4: {m == _frac_j4(j)})")
+              f"(= j/4: {m == Fraction(j, 4)})")
         return EXIT_OK
     if q == "extremes":
         if len(a) != 2:
@@ -215,12 +216,6 @@ def cmd_bounds(args) -> int:
         print(f"upper = {hi_n}/{hi_d} attained at n = {rb.upper_class} (mod 2^{rb.j})")
         return EXIT_OK
     return EXIT_USAGE
-
-
-def _frac_j4(j: int):
-    from fractions import Fraction
-
-    return Fraction(j, 4)
 
 
 def cmd_records(args) -> int:

@@ -80,27 +80,6 @@ class Dyadic:
     def __hash__(self):
         return hash(self.as_fraction())
 
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        e = max(self.exp2, other.exp2)
-        return Dyadic((self.num << (e - self.exp2)) + (other.num << (e - other.exp2)), e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        e = max(self.exp2, other.exp2)
-        return Dyadic((self.num << (e - self.exp2)) - (other.num << (e - other.exp2)), e)
-
-    def __mul__(self, other) -> "Dyadic":
-        if isinstance(other, int):
-            return Dyadic(self.num * other, self.exp2)
-        if isinstance(other, Dyadic):
-            return Dyadic(self.num * other.num, self.exp2 + other.exp2)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         n, d = self.as_integer_pair()
         return f"Dyadic({n}/{d})"

@@ -85,6 +85,16 @@ class Trajectory:
     def last(self) -> int:
         return self.iterates[-1]
 
+    def is_paradoxical(self) -> bool:
+        """Coefficient 3**q / 2**e below 1 and last term at least the first."""
+        if self.j < 1:
+            raise ValueError("trajectory must have at least one step")
+        return self.coefficient_lt_one() and self.last() >= self.start
+
+    def parity_vector(self) -> ParityVector:
+        """Parities of the first j iterates; its ones-count is q."""
+        return ParityVector(m & 1 for m in self.iterates[:-1])
+
     def odd_terms(self) -> list[int]:
         """The odd iterates among the first j terms (the last one excluded)."""
         return [m for m in self.iterates[:-1] if m & 1]
@@ -125,14 +135,3 @@ def trajectory(n: int, j: int, formalism: Formalism = Formalism.SHORTCUT) -> Tra
         iterates.append(cur)
     return Trajectory(n, formalism, tuple(iterates), q, e, num)
 
-
-def parity_vector(n: int, j: int, formalism: Formalism = Formalism.SHORTCUT) -> ParityVector:
-    """Parities of n, T(n), ..., T**(j-1)(n); ones-count equals q_j(n)."""
-    if j < 1:
-        raise ValueError("parity vector length must be >= 1")
-    bits = []
-    cur = n
-    for _ in range(j):
-        bits.append(cur & 1)
-        cur = step(cur, formalism)
-    return ParityVector(bits)

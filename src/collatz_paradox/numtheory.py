@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import BudgetExhausted, Trajectory, step, trajectory
-from .bounds import ParadoxWitness, paradox_witness
 from .precision import (
     Undecided,
     certified_sign,
@@ -67,13 +66,6 @@ class Convergent:
     def side(self) -> str:
         """Even-index convergents sit below log2/log3, odd ones above."""
         return "below" if self.index % 2 == 0 else "above"
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    def verify_side(self) -> bool:
-        below = ratio_below_log2_log3(self.p, self.q)
-        return below if self.index % 2 == 0 else not below
 
 
 def _cf_digits_and_convergents(count: int) -> tuple[list[int], list[Convergent]]:
@@ -190,7 +182,6 @@ class DivergenceWitness:
     start: int                 # first term of the built trajectory
     length: int                # its step count
     lifted: bool               # True when start = 2**(b-j) * n
-    witness: ParadoxWitness
     trajectory: Trajectory
     cst_counterexample: bool
 
@@ -210,11 +201,11 @@ def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
     Walk from n until a odd steps have occurred, at the least such j.  If
     j >= b the candidate is the length-j trajectory from n itself (a CST
     counterexample when it verifies for n != 1 and the walk never dropped
-    below n); otherwise lift to 2**(b-j) * n and use b steps.  The returned
-    witness is always re-verified from a fresh trajectory.
+    below n); otherwise lift to 2**(b-j) * n and use b steps.  The candidate
+    is returned as a fresh trajectory; its is_paradoxical() verifies it.
 
     With require_in_s=False the construction runs mechanically for pairs
-    outside S; the verification flag then reports whatever comes out.
+    outside S; is_paradoxical() then reports whatever comes out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -241,13 +232,10 @@ def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
 
     if j >= b:
         built = trajectory(n, j)
-        w = paradox_witness(built)
-        cst = w.paradoxical and n != 1 and min_seen >= n
-        return DivergenceWitness(n, pair, in_s, j, n, j, False, w, built, cst)
+        cst = n != 1 and min_seen >= n and built.is_paradoxical()
+        return DivergenceWitness(n, pair, in_s, j, n, j, False, built, cst)
     m = n << (b - j)
-    built = trajectory(m, b)
-    w = paradox_witness(built)
-    return DivergenceWitness(n, pair, in_s, j, m, b, True, w, built, False)
+    return DivergenceWitness(n, pair, in_s, j, m, b, True, trajectory(m, b), False)
 
 
 # ---------------------------------------------------------------------------

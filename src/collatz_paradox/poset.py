@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .dynamics import Formalism, trajectory, parity_vector
+from .dynamics import Formalism, trajectory
 from .vectors import ParityVector
 
 HASSE_DEFAULT_CAP = 16
@@ -104,30 +104,6 @@ class HasseDiagram:
             succ[a].append(b)
         return succ
 
-    def sources(self) -> list[ParityVector]:
-        has_in = set(b for _, b in self.edges)
-        return [v for i, v in enumerate(self.nodes) if i not in has_in]
-
-    def sinks(self) -> list[ParityVector]:
-        has_out = set(a for a, _ in self.edges)
-        return [v for i, v in enumerate(self.nodes) if i not in has_out]
-
-    def is_acyclic(self) -> bool:
-        indeg = [0] * len(self.nodes)
-        succ = self.successors()
-        for a, b in self.edges:
-            indeg[b] += 1
-        queue = [i for i, d in enumerate(indeg) if d == 0]
-        seen = 0
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for k in succ[i]:
-                indeg[k] -= 1
-                if indeg[k] == 0:
-                    queue.append(k)
-        return seen == len(self.nodes)
-
     def to_dot(self, name: str = "hasse") -> str:
         """Graph-description text: one node per vector, one edge per cover."""
         lines = [f'digraph {name} {{']
@@ -176,32 +152,32 @@ def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("j must be >= 1")
     if j > 16:
         raise ValueError("j > 16 not supported (2**j residues)")
-    by_vector: dict[tuple[int, ...], tuple[int, int]] = {}
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    # v -> (n, E numerator); all remainders of one weight q share the
+    # denominator 2**e, e = j on the shortcut map and j - q on the classic map
+    by_vector: dict[ParityVector, tuple[int, int]] = {}
+    groups: dict[int, list[tuple[ParityVector, int, int]]] = {}
     for n in range(1, 2**j + 1):
         t = trajectory(n, j, formalism)
-        v = parity_vector(n, j, formalism)
-        by_vector[v.bits] = (n, t.remainder().num)  # common denominator 2**j
-        groups.setdefault(v.q, []).append(v.bits)
+        v = t.parity_vector()
+        num = t.remainder().num
+        by_vector[v] = (n, num)
+        groups.setdefault(v.q, []).append((v, n, num))
 
     violations = []
     checked = 0
     if j <= pairwise_cap:
-        for q, members in groups.items():
-            for a_bits in members:
-                va = ParityVector(a_bits)
-                for b_bits in members:
-                    if a_bits == b_bits:
-                        continue
-                    rel = compare(va, ParityVector(b_bits))
-                    if rel is PosetRelation.LESS:
+        for members in groups.values():
+            for va, m, num_m in members:
+                for vb, n, num_n in members:
+                    if compare(va, vb) is PosetRelation.LESS:
                         checked += 1
-                        if not by_vector[a_bits][1] > by_vector[b_bits][1]:
-                            violations.append((by_vector[a_bits][0], by_vector[b_bits][0]))
+                        if not num_m > num_n:
+                            violations.append((m, n))
     else:
-        for bits, (m, num_m) in by_vector.items():
-            for w in covers(ParityVector(bits)):
+        for v, (m, num_m) in by_vector.items():
+            for w in covers(v):
                 checked += 1
-                if not num_m > by_vector[w.bits][1]:
-                    violations.append((m, by_vector[w.bits][0]))
+                n, num_n = by_vector[w]
+                if not num_m > num_n:
+                    violations.append((m, n))
     return MonotonicityReport(j, checked, violations)

@@ -48,15 +48,25 @@ _DATA_FILES = {
 }
 
 
+# The scan memo holds one int64 per start, so 10**8 starts take about 800 MB.
+# That covers the 10**7 prefix of the packaged reference tables and refuses a
+# range like 1..10**9 (8 GB) before anything is allocated.
+RECORDS_N_MAX = 10**8
+
+
 def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     """Scan 1..n_hi and return every n whose statistic beats all smaller n.
 
     Uses a below-start memo (the walk stops at the first iterate under its
     start and reuses the already known tail), which keeps the scan at a few
-    steps per n instead of a full descent to 1.
+    steps per n instead of a full descent to 1.  n_hi is capped at
+    RECORDS_N_MAX.
     """
     if n_hi < 1:
         raise ValueError("n_hi must be >= 1")
+    if n_hi > RECORDS_N_MAX:
+        raise ValueError(f"record scans stop at {RECORDS_N_MAX} starts "
+                         f"(8 bytes of memo per start); got {n_hi}")
     out: list[RecordEntry] = []
     best = -1
 

@@ -175,20 +175,26 @@ _excursion_memo = array("q")   # this process's memo; grown on demand, never shr
 _tables_lock = threading.Lock()   # guards the growth of the memo and the jump table
 
 
-def _memo_for_range(n_lo: int, n_hi: int) -> array:
-    """The process-wide excursion memo, grown to cover what [n_lo, n_hi] needs.
+def _memo_for_range(n_lo: int, n_hi: int) -> tuple[array, int]:
+    """The process-wide excursion memo, grown to cover what [n_lo, n_hi] needs,
+    and the size asked for.
 
     A range that starts inside the first 2**20 starts gets a memo up to its
     own end (at most 2**20), since its walks mostly fall just below their
     start.  A range beyond gets only 2**16 entries: its walks must fall that
     far before the exit can fire, but short runs far out (one CLI process
     per window) would otherwise pay the full build each.
+
+    The memo only grows, so it may hold more entries than the size; a scan
+    uses the size, which depends on the range alone, so that how long a walk
+    runs before its exit (what the step budget bounds) does not depend on
+    what the process scanned before.
     """
     size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
     if len(_excursion_memo) < size:
         with _tables_lock:
             extend_excursion_memo(_excursion_memo, size)
-    return _excursion_memo
+    return _excursion_memo, size
 
 
 JUMP_K = 8                       # steps per jump; 2**K rows of six ints each
@@ -242,8 +248,6 @@ class ParadoxHit:
     j: int             # step count
     q: int             # odd steps
     e: int             # halvings (= j for the compressed map)
-    c_num: int         # coefficient 3**q / 2**e, already in lowest terms
-    c_den: int
     e_num: int         # remainder in lowest terms
     e_den: int
     d: int             # last - first
@@ -252,33 +256,27 @@ class ParadoxHit:
     formalism: Formalism
 
     @property
-    def coefficient(self) -> Dyadic:
-        return Dyadic(self.c_num, self.e)
-
-    @property
     def remainder(self) -> Dyadic:
         return Dyadic(self.e_num, self.e_den.bit_length() - 1)
 
     def csv_row(self) -> str:
-        return (f"{self.n},{self.j},{self.q},{self.c_num},{self.c_den},"
+        # the coefficient 3**q / 2**e is always in lowest terms
+        return (f"{self.n},{self.j},{self.q},{3**self.q},{1 << self.e},"
                 f"{self.e_num},{self.e_den},{self.d},{int(self.start_odd)},"
                 f"{int(self.end_odd)},{self.formalism.value}")
 
     @classmethod
     def from_walk(cls, n: int, j: int, formalism: Formalism) -> "ParadoxHit":
         """Rebuild the exact trajectory data for a (start, length) pair and
-        re-verify both defining conditions."""
+        re-verify the paradox predicate and the linear-form identity."""
         traj = trajectory(n, j, formalism)
-        if not traj.coefficient_lt_one():
-            raise AssertionError(f"hit ({n}, {j}) has coefficient >= 1")
-        d = traj.last() - n
-        if d < 0:
-            raise AssertionError(f"hit ({n}, {j}) has a falling trajectory")
+        if not traj.is_paradoxical():
+            raise AssertionError(f"hit ({n}, {j}) is not paradoxical")
         if not traj.check_identity():
             raise AssertionError(f"hit ({n}, {j}) fails the linear-form identity")
         e_num, e_den = traj.remainder().as_integer_pair()
-        return cls(n=n, j=j, q=traj.q, e=traj.e, c_num=3**traj.q, c_den=1 << traj.e,
-                   e_num=e_num, e_den=e_den, d=d, start_odd=bool(n & 1),
+        return cls(n=n, j=j, q=traj.q, e=traj.e, e_num=e_num, e_den=e_den,
+                   d=traj.last() - n, start_odd=bool(n & 1),
                    end_odd=bool(traj.last() & 1), formalism=formalism)
 
 
@@ -293,9 +291,10 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     j - 1 with one halving fewer: a hit when 2 * T(x) >= n and bl3[q] < e.
 
     Each walk ends at the first halving step onto some cur < lim (lim = n
-    inside the memo, its length beyond) whose excursion memo[cur] is below
-    thr, where thr = n on the shortcut map and (n + 1) >> 1 on the classic
-    map (2 * memo[cur] < n); see the module docstring for why no hit is lost.
+    inside the memo; beyond it, the memo size that _memo_for_range gives for
+    this range) whose excursion memo[cur] is below thr, where thr = n on the
+    shortcut map and (n + 1) >> 1 on the classic map (2 * memo[cur] < n); see
+    the module docstring for why no hit is lost.
 
     Where a halving lands on lim <= cur < n, which happens only beyond the
     memo, the walk takes K-step jumps (K = JUMP_K) while the row bounds of
@@ -316,8 +315,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("empty range")
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
-    memo = _memo_for_range(n_lo, n_hi)
-    size = len(memo)
+    memo, size = _memo_for_range(n_lo, n_hi)
     rows = _jump_rows() if n_hi >= size else None
     out: list[tuple[int, int]] = []
     append = out.append
@@ -369,14 +367,6 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
         if (e + q if classic else e) > budget:
             raise BudgetExhausted(n, budget, what="walk did not end within the step budget")
     return out
-
-
-def enumerate_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTCUT,
-                        budget: int = DEFAULT_BUDGET) -> list[ParadoxHit]:
-    """Every paradoxical trajectory starting in [n_lo, n_hi], sorted by (n, j),
-    each re-verified with a fresh exact trajectory."""
-    return [ParadoxHit.from_walk(n, j, formalism)
-            for n, j in scan_paradoxes(n_lo, n_hi, formalism, budget)]
 
 
 def naive_paradoxes(n_lo: int, n_hi: int, j_max: int,

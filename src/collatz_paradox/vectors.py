@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 
 class ParityVector:
     """Immutable 0/1 word of length >= 1 with a cached ones-count."""
@@ -22,49 +20,14 @@ class ParityVector:
     def __setattr__(self, *a):
         raise AttributeError("ParityVector is immutable")
 
-    @classmethod
-    def from_string(cls, s: str) -> "ParityVector":
-        """Parse either plain bits ("0110") or run-length form ("1^2 0^3 1")."""
-        s = s.strip().strip("<>").strip("⟨⟩").strip()
-        if re.fullmatch(r"[01]+", s):
-            return cls(int(c) for c in s)
-        bits: list[int] = []
-        for tok in s.split():
-            m = re.fullmatch(r"([01])(?:\^(\d+))?", tok)
-            if not m:
-                raise ValueError(f"bad parity vector token: {tok!r}")
-            bits.extend([int(m.group(1))] * int(m.group(2) or 1))
-        if not bits:
-            raise ValueError(f"empty parity vector: {s!r}")
-        return cls(bits)
-
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParityVector) and self.bits == other.bits
 
     def __hash__(self):
         return hash(self.bits)
-
-    def prefix_sums(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for b in self.bits:
-            acc += b
-            out.append(acc)
-        return tuple(out)
-
-    def ones_ratio(self):
-        from fractions import Fraction
-
-        return Fraction(self.q, len(self.bits))
 
     def run_length(self) -> str:
         """Compact display: runs abbreviated with ^, e.g. "1^2 0^3 1"."""
@@ -83,5 +46,3 @@ class ParityVector:
     def __repr__(self) -> str:
         return "⟨" + self.run_length() + "⟩"
 
-    def as_word(self) -> str:
-        return "".join(str(b) for b in self.bits)

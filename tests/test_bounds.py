@@ -5,9 +5,8 @@ import pytest
 
 from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
-                                    harmonic_mean_odd_terms, is_paradoxical,
-                                    mean_remainder, ones_ratio_window,
-                                    paradox_witness, remainder_bounds,
+                                    harmonic_mean_odd_terms, mean_remainder,
+                                    ones_ratio_window, remainder_bounds,
                                     small_j_classification, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
@@ -69,11 +68,11 @@ def test_mean_remainder():
 
 
 def test_paradox_witness_published_examples():
-    w = paradox_witness(trajectory(7, 8))
-    assert w.paradoxical and w.d == 1
-    assert w.C == Fraction(243, 256) and w.E == Fraction(347, 256)
-    assert is_paradoxical(trajectory(1, 2))
-    assert not is_paradoxical(trajectory(7, 7))
+    t = trajectory(7, 8)
+    assert t.is_paradoxical() and t.last() - t.start == 1
+    assert t.coefficient() == Fraction(243, 256) and t.remainder() == Fraction(347, 256)
+    assert trajectory(1, 2).is_paradoxical()       # last == first counts
+    assert not trajectory(7, 7).is_paradoxical()
 
 
 def test_en_ratio_bounds_on_seven():

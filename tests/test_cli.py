@@ -155,6 +155,30 @@ def test_budget_exhaustion_is_nonzero_exit(capsys):
     assert "(n = 3, budget = 5)" in capsys.readouterr().err
 
 
+def test_budget_error_is_the_same_after_a_resume(tmp_path):
+    # The blocks below 2**20 grow the process memo to 2**20; a resumed run in
+    # a fresh process skips them.  The far block must fail the same way.
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    ck = tmp_path / "ck.txt"
+    base = [sys.executable, "-m", "collatz_paradox.cli", "search",
+            "--range", "1048000..1051000", "--block-size", "512", "--budget", "132"]
+    runs = [subprocess.run(base + extra, env=env, capture_output=True, text=True)
+            for extra in ([], ["--checkpoint", str(ck), "--max-blocks", "2"],
+                          ["--checkpoint", str(ck)])]
+    whole, cut, resumed = runs
+    assert cut.returncode == EXIT_INCOMPLETE, cut.stderr
+    assert whole.returncode == resumed.returncode == EXIT_FAIL
+    assert whole.stderr == resumed.stderr
+    assert "(n = 1050578, budget = 132)" in resumed.stderr
+
+
+def test_records_refuses_a_range_it_cannot_hold(capsys):
+    t0 = time.monotonic()
+    assert main(["records", "--kind", "delay-col", "--range", "1..10^9"]) == EXIT_FAIL
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err.startswith("error: record scans stop at 100000000")
+
+
 def test_records_command_scans_once(monkeypatch, capsys):
     calls = []
     real = records.compute_records

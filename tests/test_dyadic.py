@@ -33,13 +33,6 @@ def test_integer_pair_lowest_terms():
     assert Dyadic(746, 8).as_integer_pair() == (373, 128)
 
 
-def test_arithmetic():
-    assert Dyadic(1, 1) + Dyadic(1, 2) == Fraction(3, 4)
-    assert Dyadic(1, 1) - Dyadic(1, 2) == Fraction(1, 4)
-    assert Dyadic(3, 2) * 4 == 3
-    assert Dyadic(3, 2) * Dyadic(1, 1) == Fraction(3, 8)
-
-
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Dyadic(1, -1)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from collatz_paradox.dynamics import (BudgetExhausted, Formalism, parity_vector,
-                                      step, trajectory)
-from collatz_paradox.vectors import ParityVector
+from collatz_paradox.dynamics import BudgetExhausted, Formalism, step, trajectory
+
+
+def parity_vector(n, j, formalism=Formalism.SHORTCUT):
+    return trajectory(n, j, formalism).parity_vector()
 
 
 def test_step_both_formalisms():
@@ -55,6 +57,19 @@ def test_parity_vector_examples():
     assert v.q == 5
     assert parity_vector(96, 5).bits == (0, 0, 0, 0, 0)
     assert parity_vector(5, 1).bits == (1,)
+    c = parity_vector(7, 6, Formalism.CLASSIC)      # 7 22 11 34 17 52
+    assert c.bits == (1, 0, 1, 0, 1, 0) and c.q == trajectory(7, 6, Formalism.CLASSIC).q
+
+
+def test_parity_vector_matches_single_steps():
+    for f in Formalism:
+        for n in range(1, 300):
+            bits, cur = [], n
+            for _ in range(17):
+                bits.append(cur & 1)
+                cur = step(cur, f)
+            for j in (1, 5, 17):
+                assert parity_vector(n, j, f).bits == tuple(bits[:j])
 
 
 def test_parity_vector_period_is_two_power():
@@ -119,7 +134,9 @@ def test_trajectory_argument_validation():
     with pytest.raises(ValueError):
         trajectory(5, -1)
     with pytest.raises(ValueError):
-        parity_vector(5, 0)
+        trajectory(5, 0).parity_vector()
+    with pytest.raises(ValueError):
+        trajectory(5, 0).is_paradoxical()
 
 
 def test_budget_exception_fields():

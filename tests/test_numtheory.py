@@ -29,7 +29,7 @@ def test_convergent_recurrence_and_sides():
     for i in range(2, len(cs)):
         assert cs[i].p == a[i - 1] * cs[i - 1].p + cs[i - 2].p
         assert cs[i].q == a[i - 1] * cs[i - 1].q + cs[i - 2].q
-        assert cs[i].verify_side()
+        assert ratio_below_log2_log3(cs[i].p, cs[i].q) == (cs[i].index % 2 == 0)
 
 
 def test_convergent_quality():
@@ -77,8 +77,8 @@ def test_divergent_construction_direct_case():
     w = divergent_to_paradox(1, ApproxPair(5, 8))
     assert w.in_s and not w.lifted
     assert w.j_reached == 9 and w.start == 1 and w.length == 9
-    assert w.witness.paradoxical
-    assert w.witness.C == Fraction(243, 512)
+    assert w.trajectory.is_paradoxical()
+    assert w.trajectory.coefficient() == Fraction(243, 512)
     assert w.trajectory.last() == 2
     assert not w.cst_counterexample
 
@@ -88,7 +88,7 @@ def test_divergent_construction_lift_mechanism():
     # ratio down to 3/4 or below), so the lift branch is exercised mechanically
     w = divergent_to_paradox(1, ApproxPair(1, 2), require_in_s=False)
     assert w.lifted and w.start == 2 and w.length == 2
-    assert w.witness.paradoxical
+    assert w.trajectory.is_paradoxical()
     with pytest.raises(ValueError):
         divergent_to_paradox(1, ApproxPair(1, 2))
 
@@ -96,7 +96,7 @@ def test_divergent_construction_lift_mechanism():
 def test_divergent_construction_mechanism_on_converging_start():
     w = divergent_to_paradox(3, ApproxPair(5, 8))
     assert w.in_s and w.j_reached == 10
-    assert not w.witness.paradoxical
+    assert not w.trajectory.is_paradoxical()
     assert not w.cst_counterexample
 
 

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import collatz_paradox
 from collatz_paradox import search
-from collatz_paradox.bounds import is_paradoxical
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
+from collatz_paradox.runner import SearchConfig, run_search
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
-                                    delay, enumerate_paradoxes,
-                                    extend_excursion_memo, max_excursion,
+                                    delay, extend_excursion_memo, max_excursion,
                                     naive_paradoxes, scan_paradoxes,
                                     stopping_time, verify_cst)
 
@@ -74,7 +73,7 @@ def test_hit_reconstruction_is_exact():
 
 
 def test_enumerate_small_window():
-    hits = enumerate_paradoxes(3, 30)
+    hits = run_search(SearchConfig(3, 30)).hits()
     assert [(h.n, h.j) for h in hits] == [(7, 8), (9, 8), (18, 8), (19, 8), (25, 8)]
     assert all(not (h.start_odd and h.end_odd) for h in hits)
     assert [h.d for h in hits] == [1, 1, 2, 1, 1]
@@ -82,12 +81,12 @@ def test_enumerate_small_window():
 
 def test_every_hit_reverifies():
     for f in (Formalism.SHORTCUT, Formalism.CLASSIC):
-        for h in enumerate_paradoxes(3, 2000, f):
-            assert is_paradoxical(trajectory(h.n, h.j, f))
+        for h in run_search(SearchConfig(3, 2000, f)).hits():
+            assert trajectory(h.n, h.j, f).is_paradoxical()
 
 
 def test_multiple_hits_from_one_start():
-    js = [h.j for h in enumerate_paradoxes(859, 859)]
+    js = [j for _, j in scan_paradoxes(859, 859)]
     assert js == [46, 65, 73]
     ends = [trajectory(859, j).last() for j in js]
     assert ends == [890, 911, 866]
@@ -95,9 +94,9 @@ def test_multiple_hits_from_one_start():
 
 def test_enumeration_range_validation():
     with pytest.raises(ValueError):
-        enumerate_paradoxes(1, 100)
+        scan_paradoxes(1, 100)
     with pytest.raises(ValueError):
-        enumerate_paradoxes(10, 5)
+        scan_paradoxes(10, 5)
 
 
 def test_naive_oracle_equivalence_small():
@@ -137,7 +136,8 @@ def test_excursion_memo_matches_max_excursion():
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, MEMO_FULL - 1))
 def test_process_memo_matches_max_excursion(m):
-    assert search._memo_for_range(3, MEMO_FULL)[m] == max_excursion(m)
+    memo, size = search._memo_for_range(3, MEMO_FULL)
+    assert size == MEMO_FULL and memo[m] == max_excursion(m)
 
 
 def test_memo_is_lazy_and_sized_by_the_range():
@@ -193,7 +193,7 @@ def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
 def _fresh_memo(size: int):
     memo = array("q")
     extend_excursion_memo(memo, size)
-    return lambda n_lo, n_hi: memo
+    return lambda n_lo, n_hi: (memo, size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,18 +227,22 @@ def _walk_length(n: int, formalism: Formalism) -> int:
 
 @pytest.mark.parametrize("formalism", list(Formalism))
 @pytest.mark.parametrize("n", [10**9 + 1, 1410123942, 2**64 + 1, 2**64 + 27, 28 * 10**18 - 1])
-def test_budget_pins_the_walk_length_beyond_the_memo(n, formalism, monkeypatch):
-    # The process memo may have grown past 2**16 in earlier tests; a longer
-    # memo ends far walks sooner, so pin the one a fresh far scan builds.
-    monkeypatch.setattr(search, "_memo_for_range", _fresh_memo(1 << 16))
+def test_budget_pins_the_walk_length_beyond_the_memo(n, formalism):
     length = _walk_length(n, formalism)
     assert scan_paradoxes(n, n, formalism, budget=length) == []
     with pytest.raises(BudgetExhausted, match=rf"\(n = {n}, budget = {length - 1}\)"):
         scan_paradoxes(n, n, formalism, budget=length - 1)
 
 
+def test_budget_does_not_depend_on_what_the_process_scanned_before():
+    # A far range ends its walks below 2**16 even once the memo is longer.
+    search._memo_for_range(3, MEMO_FULL)
+    with pytest.raises(BudgetExhausted, match=r"\(n = 1050578, budget = 132\)"):
+        scan_paradoxes(1050578, 1050578, budget=132)
+
+
 def test_census_submodule_is_reachable_from_the_package():
-    rows, summary = collatz_paradox.census.census(enumerate_paradoxes(3, 30))
+    rows, summary = collatz_paradox.census.census(run_search(SearchConfig(3, 30)).hits())
     assert [(r.key(), r.count) for r in rows] == [((8, 5), 5)]
     assert summary.distinct_starts == 5
 
@@ -246,7 +250,7 @@ def test_census_submodule_is_reachable_from_the_package():
 def test_classic_walks_stop_at_one():
     # under the classic map, walks must not run into the 1-4-2 cycle: starts 3
     # and 4 would otherwise pick up artificial hits (e.g. 3 -> ... -> 1 -> 4)
-    assert enumerate_paradoxes(3, 6, Formalism.CLASSIC) == []
+    assert scan_paradoxes(3, 6, Formalism.CLASSIC) == []
 
 
 def test_verify_cst():
