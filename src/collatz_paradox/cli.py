@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_search(args) -> int:
     lo, hi = args.range
     cfg_kwargs = {}
-    if args.block_size:
+    if args.block_size is not None:
         cfg_kwargs["block_size"] = args.block_size
     cfg = SearchConfig(lo, hi, args.formalism, args.budget, **cfg_kwargs)
     result = run_search(cfg, threads=args.threads, checkpoint=args.checkpoint,

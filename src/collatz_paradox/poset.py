@@ -146,12 +146,19 @@ def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTC
 
     Brute force over all residues mod 2**j.  Up to `pairwise_cap` every
     comparable pair is tested; beyond it only cover pairs are (which imply the
-    full statement by transitivity, keeping larger j affordable).
+    full statement by transitivity, keeping larger j affordable).  Cover mode
+    needs the shortcut map: a cover of a classic parity vector may contain 11,
+    which no classic trajectory realises (an odd classic iterate is always
+    followed by an even one), so there the covers prove nothing.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > 16:
         raise ValueError("j > 16 not supported (2**j residues)")
+    if j > pairwise_cap and formalism is Formalism.CLASSIC:
+        raise ValueError("cover mode needs the shortcut map: a cover of a classic "
+                         "parity vector may contain 11, which no classic trajectory "
+                         f"realises; use pairwise_cap >= j ({j})")
     # v -> (n, E numerator); all remainders of one weight q share the
     # denominator 2**e, e = j on the shortcut map and j - q on the classic map
     by_vector: dict[ParityVector, tuple[int, int]] = {}

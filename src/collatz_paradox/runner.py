@@ -42,6 +42,12 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
     block_size: int = DEFAULT_BLOCK_SIZE
 
+    def __post_init__(self) -> None:
+        if self.hi < self.lo:
+            raise ValueError("empty range")
+        if self.block_size < 1:
+            raise ValueError(f"block size must be >= 1, got {self.block_size}")
+
     def digest(self) -> str:
         key = f"v1|{self.lo}|{self.hi}|{self.formalism.value}|{self.budget}|{self.block_size}"
         return hashlib.sha256(key.encode()).hexdigest()
@@ -175,6 +181,8 @@ def run_search(cfg: SearchConfig, threads: int = 1,
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if max_blocks is not None and max_blocks < 0:
+        raise ValueError(f"max blocks must be >= 0, got {max_blocks}")
     blocks = cfg.blocks()
     ckpt = None
     done: dict[int, list[tuple[int, int]]] = {}

@@ -25,14 +25,23 @@ of 2**K rows (the 2**k-step tables of T. Oliveira e Silva, "Empirical
 verification of the 3x+1 and related conjectures", 2010), wherever the row's
 bounds prove that no iterate inside the jump is a hit or can end the walk;
 see scan_paradoxes.
+
+The same rows carry per-residue thresholds (R. Terras, "A stopping time
+problem on the positive integers", 1976): the first K steps of x = r mod 2**K
+are y_i = (3**q_i * x + c_i) / 2**i, so whether step i is a hit or the first
+descent is a linear test in x.  Starts inside the memo above their row's
+no-hit threshold jump their first K steps at once, and verify_cst walks only
+the starts whose stopping time the table does not already give (a sieve).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .dynamics import BudgetExhausted, Formalism, trajectory
@@ -197,13 +206,28 @@ def _memo_for_range(n_lo: int, n_hi: int) -> tuple[array, int]:
     return _excursion_memo, size
 
 
-JUMP_K = 8                       # steps per jump; 2**K rows of six ints each
+JUMP_K = 8                       # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
-_jump_table: list[tuple[int, int, int, int, int, int]] = []   # built on first use
 
 
-def _jump_rows() -> list[tuple[int, int, int, int, int, int]]:
-    """Row r < 2**K is (a, c, dq, gmin, gmax, hmax).  For every x = r mod 2**K,
+class _JumpRow(NamedTuple):
+    a: int
+    c: int
+    dq: int
+    gmin: int
+    gmax: int
+    hmax: int
+    nmax_shortcut: int
+    nmax_classic: int
+    tau: int
+    tau_thr: int | float
+
+
+_jump_table: list[_JumpRow] = []   # built on first use
+
+
+def _jump_rows() -> list[_JumpRow]:
+    """Row r < 2**K of the K-step table.  For every x = r mod 2**K,
     T**K(x) = (a*x + c) >> K with dq odd steps, and each iterate y_i
     (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
 
@@ -211,22 +235,43 @@ def _jump_rows() -> list[tuple[int, int, int, int, int, int]]:
     with g_i = 3**q_i * 2**(K-i) and h_i = c_i * 2**(K-i) >= 0; the row keeps
     their least and greatest g and the greatest h.  The parity of y_i (i < K)
     depends on r only, so the walk of r itself fixes the row.
+
+    The last four columns are thresholds in x (R. Terras, "A stopping time
+    problem on the positive integers", 1976).  With D = 2**i - 3**q_i > 0,
+    y_i >= x iff x <= c_i // D, so step i is a paradox hit iff x <= c_i // D.
+    nmax_shortcut is the greatest such bound over i <= K (0 if no D > 0):
+    x > nmax_shortcut has no hit in its first K steps.  nmax_classic also
+    takes the classic iterate 3*y_{i-1} + 1 = 2*y_i of each odd step, with
+    coefficient 3**q_i / 2**(i-1): a hit iff x <= c_i // (2**(i-1) - 3**q_i).
+    tau is the first i <= K with 3**q_i < 2**i: every earlier y_i exceeds x,
+    and y_tau < x iff x > tau_thr = c_tau // (2**tau - 3**q_tau), so above
+    tau_thr both stopping times of x equal tau.  Rows with no such i have
+    tau = 0 and tau_thr = INFINITE.
     """
     if not _jump_table:
         rows = []
         for r in range(1 << JUMP_K):
             y, q, c = r, 0, 0
             gs, hs = [], []
+            nmax_s = nmax_c = tau = 0
+            tau_thr = INFINITE
             for i in range(1, JUMP_K + 1):
                 if y & 1:
                     y = (3 * y + 1) >> 1
                     c = 3 * c + (1 << (i - 1))
                     q += 1
+                    if (1 << (i - 1)) > 3**q:
+                        nmax_c = max(nmax_c, c // ((1 << (i - 1)) - 3**q))
                 else:
                     y >>= 1
                 gs.append(3**q << (JUMP_K - i))
                 hs.append(c << (JUMP_K - i))
-            rows.append((3**q, c, q, min(gs), max(gs), max(hs)))
+                if (1 << i) > 3**q:
+                    nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
+                    if not tau:
+                        tau, tau_thr = i, c // ((1 << i) - 3**q)
+            rows.append(_JumpRow(3**q, c, q, min(gs), max(gs), max(hs),
+                                 nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
         with _tables_lock:
             if not _jump_table:
                 _jump_table.extend(rows)
@@ -302,6 +347,19 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     iterate is no hit, nor is its 3x + 1, and it cannot end the walk, so the
     jump is exact.
 
+    A start n inside the memo with n > nmax (the row's no-hit threshold for
+    this map, see _jump_rows) and a budget >= 2K jumps its first K steps
+    straight to y_K, with q = dq and e = K: none of those steps is a hit.  It
+    ends there if y_K < n and memo[y_K] < thr, and otherwise walks on from
+    y_K.  Skipping an exit inside the jump is exact: if a halving onto
+    y_i < n (i < K) had memo[y_i] < thr, then y_K <= memo[y_i] < thr <= n and
+    memo[y_K] <= memo[y_i], so the walk ends at y_K.  Conversely, if the walk
+    ends at y_K, it had a valid exit at its last halving i <= K, since the
+    odd steps after it rise to y_K (memo[y_i] = memo[y_K]).  So the walk
+    either ended within 2K <= budget steps on both paths, or reaches y_K in
+    the same state and goes on as before, and BudgetExhausted fires at the
+    same starts.  Starts beyond the memo keep the step-by-step start.
+
     The budget caps the steps one walk may take before its exit; a start that
     needs more raises BudgetExhausted.  The check runs at the exit and at
     halvings onto cur >= lim: a walk that is past the budget and has not
@@ -316,17 +374,35 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
     memo, size = _memo_for_range(n_lo, n_hi)
-    rows = _jump_rows() if n_hi >= size else None
+    jump_hi = size if n_lo < size and budget >= 2 * JUMP_K else 0   # start jumps below
+    rows = _jump_rows() if n_hi >= size or jump_hi else None
+    if n_hi >= size:   # plain 6-tuples unpack fastest in the far jump loop
+        far_rows = [row[:6] for row in rows]
     out: list[tuple[int, int]] = []
     append = out.append
     classic = formalism is Formalism.CLASSIC
     half = 1 if classic else 0      # thr = (n + half) >> half
+    if jump_hi:
+        starts = [(row.nmax_classic if classic else row.nmax_shortcut, row.a, row.c, row.dq)
+                  for row in rows]
     for n in range(n_lo, n_hi + 1):
-        lim = n if n < size else size
         thr = (n + half) >> half
-        cur = n
-        q = 0
-        e = 0
+        if n < jump_hi:
+            lim = n
+            nmax, a, c, dq = starts[n & _JUMP_MASK]
+            if n > nmax:
+                cur = (a * n + c) >> JUMP_K
+                if cur < n and memo[cur] < thr:
+                    continue
+                q = dq
+                e = JUMP_K
+            else:
+                cur = n
+                q = e = 0
+        else:
+            lim = n if n < size else size
+            cur = n
+            q = e = 0
         while True:
             if cur & 1:
                 cur = (3 * cur + 1) >> 1
@@ -353,7 +429,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                 lim_k = lim << JUMP_K
                 thr_k = thr << JUMP_K
                 while True:
-                    a, c, dq, gmin, gmax, hmax = rows[cur & _JUMP_MASK]
+                    a, c, dq, gmin, gmax, hmax = far_rows[cur & _JUMP_MASK]
                     if gmin * cur < lim_k or gmax * cur + hmax >= thr_k:
                         break
                     cur = (a * cur + c) >> JUMP_K
@@ -424,6 +500,18 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
 
     One walk per n: it ends at the stopping time (first descent below n) and
     records on the way the first step where the coefficient drops below 1.
+
+    With budget >= K (K = JUMP_K) most starts need no walk.  If the row of
+    n mod 2**K has a tau (the first i <= K with 3**q_i < 2**i) and n is above
+    its tau_thr, every y_i before tau exceeds n and y_tau < n, so both
+    stopping times are tau <= K: no counterexample, a gap of 0 and no budget
+    error.  The other starts (at or below tau_thr, or in a row without tau)
+    are walked, each residue class as a range with step 2**K, merged in
+    ascending order; so the counterexamples, max_gap and the first
+    BudgetExhausted are those of walking every start.  checked counts every
+    start.  At K = 8, 19 of the 256 rows have no tau, and no start >= 2 lies
+    at or below its row's tau_thr (it would be a counterexample), so about
+    7.4% of the starts are walked.
     """
     if lo < 2:
         raise ValueError("range must start at 2 (the start 1 never descends)")
@@ -433,7 +521,17 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     qcap = len(bl3)
     bad: list[tuple[int, int, int]] = []
     max_gap = 0
-    for n in range(lo, hi + 1):
+    starts = range(lo, hi + 1)
+    if budget >= JUMP_K:
+        period = 1 << JUMP_K
+        classes = []
+        for r, row in enumerate(_jump_rows()):
+            first = lo + (r - lo) % period
+            top = min(hi, row.tau_thr)   # INFINITE where the row has no tau
+            if first <= top:
+                classes.append(range(first, top + 1, period))
+        starts = heapq.merge(*classes)
+    for n in starts:
         cur = n
         q = 0
         j = 0

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from collatz_paradox.dynamics import Formalism
 from collatz_paradox.poset import (HASSE_DEFAULT_CAP, PosetRelation, all_vectors,
                                    check_remainder_monotonicity, compare, covers,
                                    hasse)
@@ -139,6 +140,15 @@ def test_remainder_monotonicity_small():
 def test_remainder_monotonicity_cover_mode():
     rep = check_remainder_monotonicity(12, pairwise_cap=4)
     assert rep.ok and rep.pairs_checked > 0
+
+
+def test_remainder_monotonicity_classic_map():
+    # pairwise mode holds on the classic map; cover mode is refused there
+    # before any walk, since a cover may contain 11 (no classic trajectory has it)
+    for j in (4, 10):
+        assert check_remainder_monotonicity(j, Formalism.CLASSIC).ok
+    with pytest.raises(ValueError, match="contain 11"):
+        check_remainder_monotonicity(11, Formalism.CLASSIC, pairwise_cap=4)
 
 
 def test_dot_export():

@@ -73,3 +73,29 @@ def test_cli_reports_a_corrupt_checkpoint(tmp_path, capsys):
                "--checkpoint", str(ck)])
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.startswith(f"error: {ck}:")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--block-size", "-5"], "block size must be >= 1, got -5"),
+    (["--block-size", "0"], "block size must be >= 1, got 0"),
+    (["--max-blocks", "-1"], "max blocks must be >= 0, got -1"),
+    (["--range", "100..3"], "empty range"),
+])
+def test_bad_search_settings_are_refused_at_once(options, message, capsys):
+    # a negative block size used to grow the block list without bound, 0 meant
+    # the default, a negative cap silently dropped the last blocks, and an
+    # inverted range reported 0 hits
+    t0 = time.monotonic()
+    assert main(["search", "--range", "3..100", *options]) == EXIT_FAIL
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_block_settings_are_checked_by_the_api():
+    with pytest.raises(ValueError, match="empty range"):
+        SearchConfig(100, 3)
+    with pytest.raises(ValueError, match="block size"):
+        SearchConfig(3, 100, block_size=0)
+    with pytest.raises(ValueError, match="max blocks"):
+        run_search(SearchConfig(3, 100), max_blocks=-1)
+    assert run_search(SearchConfig(3, 100), max_blocks=0).blocks_done == 0

@@ -143,14 +143,15 @@ def test_process_memo_matches_max_excursion(m):
 def test_memo_is_lazy_and_sized_by_the_range():
     # a fresh process: the memo is built by scans only, never at import or by
     # the record scans, and a range far out gets only 2**16 entries; the jump
-    # rows are built by the first scan that reaches past the memo
+    # rows are built by the first scan, for its start jumps
     code = "\n".join([
         "from collatz_paradox import records, search",
         "assert len(search._excursion_memo) == 0 and len(search._jump_table) == 0",
         "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
-        "assert len(search._excursion_memo) == 0",
+        "assert len(search._excursion_memo) == 0 and len(search._jump_table) == 0",
         "search.scan_paradoxes(3, 5000, search.Formalism.CLASSIC)",
-        "assert len(search._excursion_memo) == 5001 and len(search._jump_table) == 0",
+        "assert len(search._excursion_memo) == 5001",
+        "assert len(search._jump_table) == 1 << search.JUMP_K",
         "search.scan_paradoxes(2**40, 2**40 + 10)",
         "assert len(search._excursion_memo) == 1 << 16",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
@@ -180,13 +181,98 @@ def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
     k = search.JUMP_K
     rows = search._jump_rows()
     assert len(rows) == 1 << k
-    for r, (a, c, dq, gmin, gmax, hmax) in enumerate(rows):
+    for r, (a, c, dq, gmin, gmax, hmax, *_) in enumerate(rows):
         for t in (0, 1, 2, 12345, (1 << 40) + 7, (1 << 64) // (1 << k) + 3, 1 << 90):
             x = (t << k) + r
             ys, q = _compressed_steps(x, k)
             assert (a * x + c) >> k == ys[-1] and dq == q
             for y in ys:
                 assert gmin * x <= y << k <= gmax * x + hmax
+
+
+def _first_k_steps(x: int, k: int) -> tuple[list[bool], list[bool], int | None]:
+    """Per step i = 1..k: is it a hit on the shortcut map, on the classic map
+    (also testing the 3x + 1 of an odd step), and the first i with
+    3**q_i < 2**i (None if there is none)."""
+    hit_s, hit_c, tau = [], [], None
+    y, q = x, 0
+    for i in range(1, k + 1):
+        odd = y & 1
+        y, q = ((3 * y + 1) >> 1, q + 1) if odd else (y >> 1, q)
+        hit = y >= x and 3**q < 2**i
+        hit_s.append(hit)
+        hit_c.append(hit or bool(odd and 2 * y >= x and 3**q < 2**(i - 1)))
+        if tau is None and 3**q < 2**i:
+            tau = i
+    return hit_s, hit_c, tau
+
+
+def test_jump_row_thresholds_match_brute_force():
+    k = search.JUMP_K
+    for r, row in enumerate(search._jump_rows()):
+        nmax_s, nmax_c, tau, tau_thr = row[6:]
+        for x in range(r or 1 << k, (3 << k) + 1, 1 << k):   # every x = r in 1..3 * 2**K
+            hit_s, hit_c, tau_x = _first_k_steps(x, k)
+            assert (x <= nmax_s) == any(hit_s), (r, x)
+            assert (x <= nmax_c) == any(hit_c), (r, x)
+            assert tau == (tau_x or 0)
+            if not tau:
+                assert tau_thr == INFINITE
+            elif x > tau_thr:
+                assert stopping_time(x) == coeff_stopping_time(x) == tau, (r, x)
+            else:
+                assert trajectory(x, tau).last() >= x, (r, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=_windows(3, 400, width=40), formalism=st.sampled_from(Formalism))
+def test_start_jumps_around_the_row_thresholds_match_naive_oracle(window, formalism):
+    # every nmax is at most 129, so these windows straddle the thresholds
+    lo, hi = window
+    j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
+    assert scan_paradoxes(lo, hi, formalism) == naive_paradoxes(lo, hi, j_max, formalism)
+
+
+def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
+    # One step at a time on the given map, with no jumps: the hits, and the
+    # step count at the exit (the first halving onto cur < n whose
+    # compressed-map excursion is below n, 2 * it on the classic map).
+    shortcut = formalism is Formalism.SHORTCUT
+    factor = 1 if shortcut else 2
+    hits = []
+    cur, q, e, j = n, 0, 0, 0
+    while True:
+        j += 1
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+            q += 1
+            e += shortcut
+        else:
+            cur >>= 1
+            e += 1
+            if cur < n and factor * memo[cur] < n:
+                return hits, j
+        if cur >= n and 3**q < 2**e:
+            hits.append((n, j))
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("lo, hi", [(3, 400), (150, 550), (5000, 5400)])
+def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
+    memo = array("q")
+    extend_excursion_memo(memo, hi + 1)
+    walks = [_plain_walk(n, formalism, memo) for n in range(lo, hi + 1)]
+    for budget in range(1, 61):
+        over = [n for n, (_, length) in zip(range(lo, hi + 1), walks) if length > budget]
+        if over:
+            want = BudgetExhausted(over[0], budget,
+                                   what="walk did not end within the step budget")
+            with pytest.raises(BudgetExhausted) as got:
+                scan_paradoxes(lo, hi, formalism, budget)
+            assert str(got.value) == str(want)
+        else:
+            assert scan_paradoxes(lo, hi, formalism, budget) == [
+                pair for hits, _ in walks for pair in hits]
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,3 +359,32 @@ def test_verify_cst_matches_scalar_oracles(window):
     assert rep.checked == hi - lo + 1
     assert rep.counterexamples == bad
     assert rep.max_gap == max((t - tau for _, tau, t in bad), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=_windows(2, 2000, width=300))
+def test_cst_sieve_matches_scalar_oracles(window):
+    # the tau thresholds are at most a few dozen, so these windows hold starts
+    # on both sides of them, and every residue class mod 2**K
+    lo, hi = window
+    bad = [(n, coeff_stopping_time(n), stopping_time(n)) for n in range(lo, hi + 1)
+           if coeff_stopping_time(n) != stopping_time(n)]
+    rep = verify_cst(lo, hi)
+    assert (rep.checked, rep.counterexamples) == (hi - lo + 1, bad)
+    assert rep.max_gap == max((t - tau for _, tau, t in bad), default=0)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2000), (1000, 1300)])
+def test_cst_budget_parity_with_the_scalar_oracle(lo, hi):
+    # the sieve skips only starts that descend within K steps, so the first
+    # start over the budget, and its message, are those of stopping_time
+    for budget in range(1, 61):
+        over = next((n for n in range(lo, hi + 1) if stopping_time(n) > budget), None)
+        if over is None:
+            assert verify_cst(lo, hi, budget).ok
+            continue
+        with pytest.raises(BudgetExhausted) as want:
+            stopping_time(over, budget)
+        with pytest.raises(BudgetExhausted) as got:
+            verify_cst(lo, hi, budget)
+        assert str(got.value) == str(want.value)
