@@ -41,7 +41,6 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .dynamics import BudgetExhausted, Formalism, trajectory
@@ -210,23 +209,13 @@ JUMP_K = 8                       # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
 
 
-class _JumpRow(NamedTuple):
-    a: int
-    c: int
-    dq: int
-    gmin: int
-    gmax: int
-    hmax: int
-    nmax_shortcut: int
-    nmax_classic: int
-    tau: int
-    tau_thr: int | float
+# A row is (a, c, dq, gmin, gmax, hmax, nmax_shortcut, nmax_classic, tau,
+# tau_thr); see _jump_rows.  The columns read by name:
+_NMAX_SHORTCUT, _NMAX_CLASSIC, _TAU, _TAU_THR = 6, 7, 8, 9
+_jump_table: list[tuple] = []   # built on first use
 
 
-_jump_table: list[_JumpRow] = []   # built on first use
-
-
-def _jump_rows() -> list[_JumpRow]:
+def _jump_rows() -> list[tuple]:
     """Row r < 2**K of the K-step table.  For every x = r mod 2**K,
     T**K(x) = (a*x + c) >> K with dq odd steps, and each iterate y_i
     (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
@@ -236,7 +225,7 @@ def _jump_rows() -> list[_JumpRow]:
     their least and greatest g and the greatest h.  The parity of y_i (i < K)
     depends on r only, so the walk of r itself fixes the row.
 
-    The last four columns are thresholds in x (R. Terras, "A stopping time
+    The other four columns are thresholds in x (R. Terras, "A stopping time
     problem on the positive integers", 1976).  With D = 2**i - 3**q_i > 0,
     y_i >= x iff x <= c_i // D, so step i is a paradox hit iff x <= c_i // D.
     nmax_shortcut is the greatest such bound over i <= K (0 if no D > 0):
@@ -270,8 +259,8 @@ def _jump_rows() -> list[_JumpRow]:
                     nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
                     if not tau:
                         tau, tau_thr = i, c // ((1 << i) - 3**q)
-            rows.append(_JumpRow(3**q, c, q, min(gs), max(gs), max(hs),
-                                 nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
+            rows.append((3**q, c, q, min(gs), max(gs), max(hs),
+                         nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
         with _tables_lock:
             if not _jump_table:
                 _jump_table.extend(rows)
@@ -376,25 +365,21 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     memo, size = _memo_for_range(n_lo, n_hi)
     jump_hi = size if n_lo < size and budget >= 2 * JUMP_K else 0   # start jumps below
     rows = _jump_rows() if n_hi >= size or jump_hi else None
-    if n_hi >= size:   # plain 6-tuples unpack fastest in the far jump loop
-        far_rows = [row[:6] for row in rows]
     out: list[tuple[int, int]] = []
     append = out.append
     classic = formalism is Formalism.CLASSIC
     half = 1 if classic else 0      # thr = (n + half) >> half
-    if jump_hi:
-        starts = [(row.nmax_classic if classic else row.nmax_shortcut, row.a, row.c, row.dq)
-                  for row in rows]
+    nmax = _NMAX_CLASSIC if classic else _NMAX_SHORTCUT   # this map's no-hit column
     for n in range(n_lo, n_hi + 1):
         thr = (n + half) >> half
         if n < jump_hi:
             lim = n
-            nmax, a, c, dq = starts[n & _JUMP_MASK]
-            if n > nmax:
-                cur = (a * n + c) >> JUMP_K
+            row = rows[n & _JUMP_MASK]
+            if n > row[nmax]:
+                cur = (row[0] * n + row[1]) >> JUMP_K
                 if cur < n and memo[cur] < thr:
                     continue
-                q = dq
+                q = row[2]
                 e = JUMP_K
             else:
                 cur = n
@@ -429,7 +414,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                 lim_k = lim << JUMP_K
                 thr_k = thr << JUMP_K
                 while True:
-                    a, c, dq, gmin, gmax, hmax = far_rows[cur & _JUMP_MASK]
+                    a, c, dq, gmin, gmax, hmax, _, _, _, _ = rows[cur & _JUMP_MASK]
                     if gmin * cur < lim_k or gmax * cur + hmax >= thr_k:
                         break
                     cur = (a * cur + c) >> JUMP_K
@@ -501,17 +486,17 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     One walk per n: it ends at the stopping time (first descent below n) and
     records on the way the first step where the coefficient drops below 1.
 
-    With budget >= K (K = JUMP_K) most starts need no walk.  If the row of
-    n mod 2**K has a tau (the first i <= K with 3**q_i < 2**i) and n is above
-    its tau_thr, every y_i before tau exceeds n and y_tau < n, so both
-    stopping times are tau <= K: no counterexample, a gap of 0 and no budget
-    error.  The other starts (at or below tau_thr, or in a row without tau)
-    are walked, each residue class as a range with step 2**K, merged in
-    ascending order; so the counterexamples, max_gap and the first
-    BudgetExhausted are those of walking every start.  checked counts every
-    start.  At K = 8, 19 of the 256 rows have no tau, and no start >= 2 lies
-    at or below its row's tau_thr (it would be a counterexample), so about
-    7.4% of the starts are walked.
+    Most starts need no walk.  If the row of n mod 2**K (K = JUMP_K) has a
+    tau (the first i <= K with 3**q_i < 2**i) and n is above its tau_thr,
+    every y_i before tau exceeds n and y_tau < n, so both stopping times are
+    tau: no counterexample and a gap of 0, and no budget error if
+    tau <= budget.  So only the starts at or below tau_thr, and every start of
+    a row without tau or with tau > budget, are walked, each residue class as
+    a range with step 2**K, merged in ascending order; the counterexamples,
+    max_gap and the first BudgetExhausted are those of walking every start.
+    checked counts every start.  At K = 8, 19 of the 256 rows have no tau,
+    and no start >= 2 lies at or below its row's tau_thr (it would be a
+    counterexample), so at budgets >= 8 about 7.4% of the starts are walked.
     """
     if lo < 2:
         raise ValueError("range must start at 2 (the start 1 never descends)")
@@ -521,17 +506,15 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     qcap = len(bl3)
     bad: list[tuple[int, int, int]] = []
     max_gap = 0
-    starts = range(lo, hi + 1)
-    if budget >= JUMP_K:
-        period = 1 << JUMP_K
-        classes = []
-        for r, row in enumerate(_jump_rows()):
-            first = lo + (r - lo) % period
-            top = min(hi, row.tau_thr)   # INFINITE where the row has no tau
-            if first <= top:
-                classes.append(range(first, top + 1, period))
-        starts = heapq.merge(*classes)
-    for n in starts:
+    period = 1 << JUMP_K
+    classes = []
+    for r, row in enumerate(_jump_rows()):
+        first = lo + (r - lo) % period
+        # tau_thr is INFINITE where the row has no tau
+        top = hi if row[_TAU] > budget else min(hi, row[_TAU_THR])
+        if first <= top:
+            classes.append(range(first, top + 1, period))
+    for n in heapq.merge(*classes):
         cur = n
         q = 0
         j = 0

@@ -115,12 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", nargs="+", type=Path, required=True, metavar="JSON")
     ap.add_argument("--parent-commit", help="commit of the parent runs, if their "
                                             "metadata has none (an extracted copy)")
-    ap.add_argument("--change-commit", help="the same for the change runs")
     ap.add_argument("--out", type=Path, required=True, metavar="BENCH_NN_label.json")
     args = ap.parse_args(argv)
     try:
-        doc = record(args.parent, args.change,
-                     {"parent": args.parent_commit, "change": args.change_commit})
+        doc = record(args.parent, args.change, {"parent": args.parent_commit})
     except (RecordError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
