@@ -9,7 +9,6 @@ Diophantine machinery, all of it in exact integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .dyadic import Dyadic
 from .dynamics import BudgetExhausted, Formalism, Trajectory, step, trajectory
 from .vectors import ParityVector
 from .poset import (HasseDiagram, PosetRelation, all_vectors, compare, covers,

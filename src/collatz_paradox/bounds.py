@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Dyadic
 from .dynamics import Formalism, Trajectory, trajectory
 from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
@@ -46,8 +45,8 @@ def floor_log_ratio(j: int) -> int:
 class RemainderBounds:
     j: int
     q: int
-    lower: Dyadic            # (3^q - 2^q) / 2^j
-    upper: Dyadic            # (3^q - 2^q) / 2^q
+    lower: Fraction          # (3^q - 2^q) / 2^j
+    upper: Fraction          # (3^q - 2^q) / 2^q
     lower_class: int         # residue mod 2^j attaining the lower bound
     upper_class: int         # residue mod 2^j attaining the upper bound
 
@@ -63,13 +62,14 @@ def remainder_bounds(j: int, q: int) -> RemainderBounds:
         raise ValueError("need j >= 1 and 0 <= q <= j")
     mod = 1 << j
     if q == 0:
-        zero = Dyadic(0, 0)
+        zero = Fraction(0)
         return RemainderBounds(j, 0, zero, zero, 0, 0)
     spread = 3**q - 2**q
     upper_class = (mod - (1 << (j - q))) % mod
     inv3q = pow(3**q, -1, mod)
     lower_class = ((1 << q) * inv3q - 1) % mod
-    return RemainderBounds(j, q, Dyadic(spread, j), Dyadic(spread, q), lower_class, upper_class)
+    return RemainderBounds(j, q, Fraction(spread, 1 << j), Fraction(spread, 1 << q),
+                           lower_class, upper_class)
 
 
 def mean_remainder(j: int, formalism: Formalism = Formalism.SHORTCUT) -> Fraction:

@@ -8,8 +8,8 @@ same halvings under either map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .dyadic import Dyadic
 from .dynamics import Formalism, trajectory
 from .search import ParadoxHit
 
@@ -22,13 +22,13 @@ class CensusRow:
     count_odd_odd: int
     n_min: int
     n_max: int
-    e_min: Dyadic
-    e_max: Dyadic
+    e_min: Fraction
+    e_max: Fraction
     d_min: int
     d_max: int
 
-    def coefficient(self) -> Dyadic:
-        return Dyadic(3**self.q, self.j)
+    def coefficient(self) -> Fraction:
+        return Fraction(3**self.q, 1 << self.j)
 
     def key(self) -> tuple[int, int]:
         return (self.j, self.q)
@@ -101,6 +101,15 @@ def _passes_through(hit: ParadoxHit, value: int) -> bool:
     return value in trajectory(hit.n, hit.j, hit.formalism).iterates
 
 
+def _decimal(x: Fraction, places: int) -> str:
+    """Decimal rendering of x, nearest with ties away from zero; display only."""
+    scale = 10**places
+    v = (2 * abs(x.numerator) * scale + x.denominator) // (2 * x.denominator)
+    whole, frac = divmod(v, scale)
+    sign = "-" if x < 0 else ""
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+
 def render_census(rows: list[CensusRow], summary: CensusSummary, decimals: int = 2) -> str:
     """Plain-text census table.
 
@@ -112,9 +121,9 @@ def render_census(rows: list[CensusRow], summary: CensusSummary, decimals: int =
     head = f"{'(j,q)':>12} {'C':>8} {'N':>5} {'N_odd':>5} {'n':>15} {'E':>19} {'d':>11}"
     out.append(head)
     for r in rows:
-        c = r.coefficient().decimal(3)
-        e_lo = r.e_min.decimal(decimals)
-        e_hi = r.e_max.decimal(decimals)
+        c = _decimal(r.coefficient(), 3)
+        e_lo = _decimal(r.e_min, decimals)
+        e_hi = _decimal(r.e_max, decimals)
         out.append(f"{f'({r.j},{r.q})':>12} {c:>8} {r.count:>5} {r.count_odd_odd:>5} "
                    f"{f'{r.n_min} - {r.n_max}':>15} {f'{e_lo} - {e_hi}':>19} "
                    f"{f'{r.d_min} - {r.d_max}':>11}")

@@ -18,12 +18,13 @@ from . import bounds as B
 from . import numtheory as NT
 from .dynamics import BudgetExhausted, Formalism
 from .census import render_census, census
-from .checks import run_all
+from .checks import Scoreboard
 from .poset import hasse
 from .precision import Undecided
 from .records import (RecordKind, compute_records, ingest_reference_records,
                       reference_path, theorem5_bound_chain, IngestError)
-from .runner import SearchConfig, hits_csv_text, run_search, write_text
+from .runner import (DEFAULT_BLOCK_SIZE, SearchConfig, hits_csv_text, run_search,
+                     write_text)
 from .search import DEFAULT_BUDGET, verify_cst
 
 EXIT_OK = 0
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
                     metavar="K", help="most steps one walk may take before its early "
                                       "exit (a start that needs more is an error)")
-    ps.add_argument("--block-size", type=parse_bound, default=None, metavar="B")
+    ps.add_argument("--block-size", type=parse_bound, default=DEFAULT_BLOCK_SIZE,
+                    metavar="B")
     ps.add_argument("--out", metavar="PATH", help="hit CSV output path")
     ps.add_argument("--census-out", metavar="PATH", help="census table output path")
     ps.add_argument("--checkpoint", metavar="PATH")
@@ -115,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_search(args) -> int:
     lo, hi = args.range
-    cfg_kwargs = {}
-    if args.block_size is not None:
-        cfg_kwargs["block_size"] = args.block_size
-    cfg = SearchConfig(lo, hi, args.formalism, args.budget, **cfg_kwargs)
+    cfg = SearchConfig(lo, hi, args.formalism, args.budget, args.block_size)
     result = run_search(cfg, threads=args.threads, checkpoint=args.checkpoint,
                         max_blocks=args.max_blocks)
     if not result.complete:
@@ -210,10 +209,10 @@ def cmd_bounds(args) -> int:
             print("usage: bounds extremes J Q", file=sys.stderr)
             return EXIT_USAGE
         rb = B.remainder_bounds(int(a[0]), int(a[1]))
-        lo_n, lo_d = rb.lower.as_integer_pair()
-        hi_n, hi_d = rb.upper.as_integer_pair()
-        print(f"lower = {lo_n}/{lo_d} attained at n = {rb.lower_class} (mod 2^{rb.j})")
-        print(f"upper = {hi_n}/{hi_d} attained at n = {rb.upper_class} (mod 2^{rb.j})")
+        print(f"lower = {rb.lower.numerator}/{rb.lower.denominator} "
+              f"attained at n = {rb.lower_class} (mod 2^{rb.j})")
+        print(f"upper = {rb.upper.numerator}/{rb.upper.denominator} "
+              f"attained at n = {rb.upper_class} (mod 2^{rb.j})")
         return EXIT_OK
     return EXIT_USAGE
 
@@ -242,8 +241,7 @@ def cmd_records(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_all(threads=args.threads, null_hi=args.null_hi,
-                      refs_dir=args.refs, log=print)
+    results = Scoreboard(args.threads, args.null_hi, args.refs, print).run_all()
     passed = sum(r.ok for r in results)
     print(f"\n{passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_FAIL

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .dyadic import Dyadic
 from .vectors import ParityVector
 
 
@@ -72,15 +72,15 @@ class Trajectory:
     def j(self) -> int:
         return len(self.iterates) - 1
 
-    def coefficient(self) -> Dyadic:
-        return Dyadic(3**self.q, self.e)
+    def coefficient(self) -> Fraction:
+        return Fraction(3**self.q, 1 << self.e)
 
     def coefficient_lt_one(self) -> bool:
         # 3**q < 2**e iff bit_length(3**q) <= e (equality of the powers is impossible)
         return (3**self.q).bit_length() <= self.e
 
-    def remainder(self) -> Dyadic:
-        return Dyadic(self.e_num, self.e)
+    def remainder(self) -> Fraction:
+        return Fraction(self.e_num, 1 << self.e)
 
     def last(self) -> int:
         return self.iterates[-1]

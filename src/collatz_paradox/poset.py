@@ -159,21 +159,21 @@ def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("cover mode needs the shortcut map: a cover of a classic "
                          "parity vector may contain 11, which no classic trajectory "
                          f"realises; use pairwise_cap >= j ({j})")
-    # v -> (n, E numerator); all remainders of one weight q share the
+    # v -> (n, E numerator), one residue per vector: the remainder depends on
+    # the parity vector alone, and all remainders of one weight q share the
     # denominator 2**e, e = j on the shortcut map and j - q on the classic map
     by_vector: dict[ParityVector, tuple[int, int]] = {}
-    groups: dict[int, list[tuple[ParityVector, int, int]]] = {}
     for n in range(1, 2**j + 1):
         t = trajectory(n, j, formalism)
-        v = t.parity_vector()
-        num = t.remainder().num
-        by_vector[v] = (n, num)
-        groups.setdefault(v.q, []).append((v, n, num))
+        by_vector[t.parity_vector()] = (n, t.e_num)
 
     violations = []
     checked = 0
     if j <= pairwise_cap:
-        for members in groups.values():
+        by_weight: dict[int, list[tuple[ParityVector, int, int]]] = {}
+        for v, (n, num) in by_vector.items():
+            by_weight.setdefault(v.q, []).append((v, n, num))
+        for members in by_weight.values():
             for va, m, num_m in members:
                 for vb, n, num_n in members:
                     if compare(va, vb) is PosetRelation.LESS:

@@ -41,8 +41,8 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .dyadic import Dyadic
 from .dynamics import BudgetExhausted, Formalism, trajectory
 
 INFINITE = math.inf
@@ -290,8 +290,8 @@ class ParadoxHit:
     formalism: Formalism
 
     @property
-    def remainder(self) -> Dyadic:
-        return Dyadic(self.e_num, self.e_den.bit_length() - 1)
+    def remainder(self) -> Fraction:
+        return Fraction(self.e_num, self.e_den)
 
     def csv_row(self) -> str:
         # the coefficient 3**q / 2**e is always in lowest terms
@@ -308,9 +308,9 @@ class ParadoxHit:
             raise AssertionError(f"hit ({n}, {j}) is not paradoxical")
         if not traj.check_identity():
             raise AssertionError(f"hit ({n}, {j}) fails the linear-form identity")
-        e_num, e_den = traj.remainder().as_integer_pair()
-        return cls(n=n, j=j, q=traj.q, e=traj.e, e_num=e_num, e_den=e_den,
-                   d=traj.last() - n, start_odd=bool(n & 1),
+        rem = traj.remainder()
+        return cls(n=n, j=j, q=traj.q, e=traj.e, e_num=rem.numerator,
+                   e_den=rem.denominator, d=traj.last() - n, start_odd=bool(n & 1),
                    end_odd=bool(traj.last() & 1), formalism=formalism)
 
 

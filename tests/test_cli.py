@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import subprocess
@@ -42,6 +43,33 @@ def test_search_small(tmp_path, capsys):
     assert "7,8,5,243,256,347,256,1,1,0,shortcut" in body
     assert "generated=" not in body
     assert "(92,58)" in cens.read_text()
+
+
+# sha256 of the hit CSV and of the census tables at --decimals 0, 2 and 3 for
+# `search --range 3..10^4 --no-timestamp`.  Every census hit starts below
+# 9230, so the 2-place tables are those of the paper's 3..10^6 census.
+GOLDEN_CENSUS_3_10K = {
+    "shortcut": ("ab811fecfe003493e72ad3440978226f823f935bfec61606ceae64cf5a7f68e4", {
+        0: "abf29c3b4db2d2e51b8a00d57ea7976246f98adcfd58bbed52197ccf25394473",
+        2: "0796e9544750455f31bed3e1f872bb3ac9e4a32f46b1d8646da6bb650d5219d6",
+        3: "76475833684e1b4dbe2396be4be0cac0ac580c31a65ed3b35f2e81b63f8edb0b"}),
+    "classic": ("df2a030362e1db5f33c3b96dbe3460f8e06c8dc3e326f6a1a779ecafcce72b93", {
+        0: "d3e5f63e053d1b032e5263547ac22fa858ce6254c0ef6be259f1369885b073ff",
+        2: "c4d20bc984f8c8f91dbb732b84c1c9dbd7bf51ea2e43c882636f92ce77d1f924",
+        3: "6769dbcc525bb0ead96923716509460c4ce44a2c934f76ac57d53f2192d26104"}),
+}
+
+
+@pytest.mark.parametrize("formalism", sorted(GOLDEN_CENSUS_3_10K))
+def test_search_golden_digests(tmp_path, formalism):
+    csv_digest, table_digests = GOLDEN_CENSUS_3_10K[formalism]
+    for places, table_digest in table_digests.items():
+        out, table = tmp_path / f"hits{places}.csv", tmp_path / f"census{places}.txt"
+        assert main(["search", "--range", "3..10^4", "--formalism", formalism,
+                     "--decimals", str(places), "--out", str(out),
+                     "--census-out", str(table), "--no-timestamp"]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == table_digest
 
 
 def test_search_zero_hits(capsys):

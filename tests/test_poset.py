@@ -143,10 +143,13 @@ def test_remainder_monotonicity_cover_mode():
 
 
 def test_remainder_monotonicity_classic_map():
-    # pairwise mode holds on the classic map; cover mode is refused there
-    # before any walk, since a cover may contain 11 (no classic trajectory has it)
-    for j in (4, 10):
-        assert check_remainder_monotonicity(j, Formalism.CLASSIC).ok
+    # pairwise mode holds on the classic map, and checks each pair of parity
+    # vectors once however many residues realise it; cover mode is refused
+    # there before any walk, since a cover may contain 11 (no classic
+    # trajectory has it)
+    for j, pairs in ((4, 9), (10, 2139)):
+        rep = check_remainder_monotonicity(j, Formalism.CLASSIC)
+        assert rep.ok and rep.pairs_checked == pairs
     with pytest.raises(ValueError, match="contain 11"):
         check_remainder_monotonicity(11, Formalism.CLASSIC, pairwise_cap=4)
 

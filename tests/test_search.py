@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import collatz_paradox
 from collatz_paradox import search
+from collatz_paradox.census import _decimal
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
 from collatz_paradox.runner import SearchConfig, run_search
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
@@ -323,6 +325,13 @@ def test_census_submodule_is_reachable_from_the_package():
     rows, summary = collatz_paradox.census.census(run_search(SearchConfig(3, 30)).hits())
     assert [(r.key(), r.count) for r in rows] == [((8, 5), 5)]
     assert summary.distinct_starts == 5
+
+
+def test_census_decimal_rendering_nearest():
+    assert _decimal(Fraction(347, 256), 2) == "1.36"     # 1.3554...
+    assert _decimal(Fraction(243, 256), 3) == "0.949"
+    assert _decimal(Fraction(-1, 2), 1) == "-0.5"
+    assert _decimal(Fraction(1, 2), 0) == "1"            # 0.5 rounds away from zero
 
 
 def test_classic_walks_stop_at_one():
