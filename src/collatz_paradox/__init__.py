@@ -32,4 +32,30 @@ from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
                       reference_path, theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # dynamics, vectors, poset
+    "BudgetExhausted", "Formalism", "Trajectory", "step", "trajectory",
+    "ParityVector",
+    "HasseDiagram", "PosetRelation", "all_vectors", "compare", "covers", "hasse",
+    "check_remainder_monotonicity",
+    # bounds
+    "EnRatioBounds", "RemainderBounds", "coefficient_ceiling_q", "en_ratio_bounds",
+    "floor_log_ratio", "harmonic_cap_holds", "harmonic_mean_odd_terms",
+    "mean_remainder", "ones_ratio_window", "remainder_bounds",
+    "small_j_classification", "smallest_harmonic_cap_j",
+    # numtheory, precision
+    "ApproxPair", "Convergent", "DivergenceWitness", "approx_pairs", "convergents",
+    "divergent_to_paradox", "heuristic_j_cap", "pair_in_s", "partial_quotients",
+    "ratio_below_log2_log3", "rhin_gap_ok",
+    "Undecided",
+    # search, census
+    "CstReport", "INFINITE", "ParadoxHit", "coeff_stopping_time", "delay",
+    "max_excursion", "naive_paradoxes", "scan_paradoxes", "stopping_time",
+    "verify_cst",
+    "CensusRow", "CensusSummary", "render_census",
+    # records, runner
+    "BoundChainReport", "IngestError", "RecordEntry", "RecordKind", "RecordTable",
+    "compute_records", "ingest_reference_records", "reference_path",
+    "theorem5_bound_chain",
+    "SearchConfig", "SearchResult", "hits_csv_text", "run_search",
+]

@@ -10,6 +10,7 @@ kind) are computed once and reused across checks.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -46,6 +47,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0   # wall time of the check, set by Scoreboard.run_all
 
 
 class Scoreboard:
@@ -279,7 +281,9 @@ class Scoreboard:
         ]
         out = []
         for step in steps:
+            t0 = time.perf_counter()
             res = step()
+            res.seconds = time.perf_counter() - t0
             self.log(("PASS " if res.ok else "FAIL ") + res.name
                      + (f"  [{res.detail}]" if res.detail else ""))
             out.append(res)

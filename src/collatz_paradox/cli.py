@@ -242,6 +242,8 @@ def cmd_records(args) -> int:
 
 def cmd_check(args) -> int:
     results = Scoreboard(args.threads, args.null_hi, args.refs, print).run_all()
+    for r in results:   # timings vary between runs, so they stay off stdout
+        print(f"{r.seconds:8.2f} s  {r.name}", file=sys.stderr)
     passed = sum(r.ok for r in results)
     print(f"\n{passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_FAIL

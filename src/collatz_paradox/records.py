@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
 from .dynamics import Formalism
-from .search import delay, extend_excursion_memo, max_excursion
+from .search import delay, fill_excursion_memo, max_excursion
 
 
 class RecordKind(enum.Enum):
@@ -71,8 +71,8 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     best = -1
 
     if kind is RecordKind.MAX_EXCURSION_T:
-        memo = array("q")
-        extend_excursion_memo(memo, n_hi + 1)
+        memo = array("q", bytes(8)) * (n_hi + 1)
+        fill_excursion_memo(memo, 0, n_hi + 1)
         for n in range(1, n_hi + 1):
             peak = memo[n]
             if peak > best:

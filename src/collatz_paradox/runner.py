@@ -1,12 +1,14 @@
 """Sharded, resumable execution of the paradox enumeration.
 
-The range splits into fixed-size blocks handed to a process pool; workers
-share nothing, and the collector merges per-block results in block order, so
-the output is identical for any worker count.  A block that raises ends the
-run; blocks not yet started are cancelled.  After every finished block the
-checkpoint file is rewritten atomically (write-to-temp, fsync, rename); a run
-killed at any point resumes from the surviving checkpoint and produces the
-same bytes as an uninterrupted run.
+The range splits into fixed-size blocks handed to a process pool, and the
+collector merges per-block results in block order, so the output is
+identical for any worker count.  The workers share one thing: the excursion
+memo of the scan, a shared mapping made before they fork, which they fill
+in block order under one lock, so each entry is built once per run.  A
+block that raises ends the run; blocks not yet started are cancelled.  After
+every finished block the checkpoint file is rewritten atomically
+(write-to-temp, fsync, rename); a run killed at any point resumes from the
+surviving checkpoint and produces the same bytes as an uninterrupted run.
 
 Checkpoint format (plain text, one key=value per line):
 
@@ -28,6 +30,7 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import search
 from .dynamics import Formalism
 from .search import DEFAULT_BUDGET, HIT_CSV_HEADER, ParadoxHit, scan_paradoxes
 
@@ -200,8 +203,14 @@ def run_search(cfg: SearchConfig, threads: int = 1,
         if threads == 1 or len(pending) <= 1:
             results = map(_scan_block_task, tasks)
         else:
+            # Imported here, so that a serial run never loads multiprocessing.
+            # The workers fork, so that they inherit the process memo.
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            stack.enter_context(search.memo_shared_by_forks(ctx.Lock()))
             # Executor.map cancels the blocks not yet started once one raises.
-            pool = stack.enter_context(futures.ProcessPoolExecutor(max_workers=threads))
+            pool = stack.enter_context(
+                futures.ProcessPoolExecutor(max_workers=threads, mp_context=ctx))
             results = pool.map(_scan_block_task, tasks)
         for (idx, _, _), pairs in zip(pending, results):
             done[idx] = pairs

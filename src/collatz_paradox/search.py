@@ -36,10 +36,12 @@ the starts whose stopping time the table does not already give (a sieve).
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
+import mmap
 import threading
-from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,19 +148,18 @@ def max_excursion(n: int, formalism: Formalism = Formalism.SHORTCUT,
     return best
 
 
-def extend_excursion_memo(memo: array, size: int) -> None:
-    """Append to memo until len(memo) == size, where memo[m] = max_excursion(m)
-    for every m < len(memo) on entry (memo[0] = 0).
+def fill_excursion_memo(memo, lo: int, hi: int) -> None:
+    """Set memo[n] = max_excursion(n) for lo <= n < hi (memo[0] = 0), where
+    memo[m] holds it already for every m < lo.
 
     Each walk stops at its first iterate below the start and reuses the
     already known excursion of that iterate, so a start costs a few steps
-    instead of a full descent to 1.  Entries are appended one at a time, so
-    every index below len(memo) is valid at any moment.
+    instead of a full descent to 1.  memo is any int64 buffer of at least hi
+    entries: the process memo below, or the array of a record scan.
     """
-    append = memo.append
-    for n in range(len(memo), size):
+    for n in range(lo, hi):
         if n < 3:
-            append(n)
+            memo[n] = n
             continue
         cur = n
         peak = n
@@ -174,16 +175,30 @@ def extend_excursion_memo(memo: array, size: int) -> None:
             peak = m
         if peak > I64_MAX:
             raise OverflowError("excursion exceeds the memo word size")
-        append(peak)
+        memo[n] = peak
 
 
-_MEMO_FULL = 1 << 20    # 8 MB of int64, about 0.6 s to build
+_MEMO_FULL = 1 << 20    # 8 MB of int64, 0.75-0.97 s to build
 _MEMO_FAR = 1 << 16     # about 0.03 s to build
-_excursion_memo = array("q")   # this process's memo; grown on demand, never shrunk
-_tables_lock = threading.Lock()   # guards the growth of the memo and the jump table
+# The process memo: an anonymous shared mapping of _MEMO_FULL int64 entries
+# followed by one slot that holds how many of them are built.  It is made on
+# first use; a process forked after that shares it, so the workers of a pool
+# grow one memo between them (see memo_shared_by_forks).
+_memo: memoryview | None = None
+_memo_lock = threading.Lock()     # guards its growth; a process lock while a pool runs
+_tables_lock = threading.Lock()   # guards the creation of the memo and the jump table
 
 
-def _memo_for_range(n_lo: int, n_hi: int) -> tuple[array, int]:
+def _process_memo() -> memoryview:
+    global _memo
+    if _memo is None:
+        with _tables_lock:
+            if _memo is None:
+                _memo = memoryview(mmap.mmap(-1, 8 * (_MEMO_FULL + 1))).cast("q")
+    return _memo
+
+
+def _memo_for_range(n_lo: int, n_hi: int) -> tuple[memoryview, int]:
     """The process-wide excursion memo, grown to cover what [n_lo, n_hi] needs,
     and the size asked for.
 
@@ -193,16 +208,41 @@ def _memo_for_range(n_lo: int, n_hi: int) -> tuple[array, int]:
     far before the exit can fire, but short runs far out (one CLI process
     per window) would otherwise pay the full build each.
 
+    The memo grows from the length it holds, under _memo_lock, so the
+    processes that share it build each entry once between them.  The
+    entries are written before the length, so a process that dies while it
+    fills leaves no entry counted as built; the next one refills them.
+
     The memo only grows, so it may hold more entries than the size; a scan
     uses the size, which depends on the range alone, so that how long a walk
     runs before its exit (what the step budget bounds) does not depend on
     what the process scanned before.
     """
     size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
-    if len(_excursion_memo) < size:
-        with _tables_lock:
-            extend_excursion_memo(_excursion_memo, size)
-    return _excursion_memo, size
+    memo = _process_memo()
+    with _memo_lock:
+        filled = memo[_MEMO_FULL]
+        if filled < size:
+            fill_excursion_memo(memo, filled, size)
+            memo[_MEMO_FULL] = size
+    return memo, size
+
+
+@contextlib.contextmanager
+def memo_shared_by_forks(lock) -> Iterator[None]:
+    """Make the process memo now, so that every process forked inside the
+    block shares it, and guard its growth there with lock, a lock that those
+    processes share too (a multiprocessing one).
+
+    The lock in use before comes back at the end: a worker killed while it
+    held lock would leave it held for good."""
+    global _memo_lock
+    _process_memo()
+    saved, _memo_lock = _memo_lock, lock
+    try:
+        yield
+    finally:
+        _memo_lock = saved
 
 
 JUMP_K = 8                       # steps per jump; 2**K rows

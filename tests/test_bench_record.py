@@ -26,7 +26,7 @@ def _result(tmp_path: Path, name: str, src: str, wall_s: float, *, workload="cen
 def test_median_and_quartiles_of_each_side(tmp_path):
     parent = [_result(tmp_path, f"p{i}", "aa", v, seed=i) for i, v in enumerate([5, 1, 4, 2, 3])]
     change = [_result(tmp_path, f"c{i}", "bb", v, seed=i) for i, v in enumerate([2, 1])]
-    change.append(_result(tmp_path, "t", "bb", 7.5, trace=1, failed=1))
+    change.append(_result(tmp_path, "t", "bb", 7.5, trace=1))
     doc = bench_record.record(parent, change, {"parent": "abc1234"})
     wall = doc["e2e"]["census"]["wall_s"]
     assert wall["parent"] == {"median": 3, "q1": 2, "q3": 4, "n": 5}
@@ -38,7 +38,7 @@ def test_median_and_quartiles_of_each_side(tmp_path):
     assert doc["commits"] == {"parent": "abc1234", "change": None}
     assert doc["machine"] == {"nproc": 2, "python": "3.11.7", "package_version": "0.1.0",
                               "src_sha256": {"parent": "aa", "change": "bb"}}
-    assert doc["runs"]["change"]["census"] == {"runs": 3, "failed": 1, "seeds": [0, 0, 1]}
+    assert doc["runs"]["change"]["census"] == {"runs": 3, "failed": 0, "seeds": [0, 0, 1]}
 
 
 def test_refuses_a_side_that_mixes_two_codes(tmp_path, capsys):
@@ -59,6 +59,32 @@ def test_refuses_one_code_on_both_sides_or_two_machines(tmp_path):
         bench_record.record(same, [_result(tmp_path, "c0", "aa", 1.0)])
     with pytest.raises(bench_record.RecordError, match="machine"):
         bench_record.record(same, [_result(tmp_path, "c1", "bb", 1.0, nproc=4)])
+
+
+def test_refuses_a_side_with_failed_operations(tmp_path, capsys):
+    parent = [_result(tmp_path, "p0", "aa", 1.0), _result(tmp_path, "p1", "aa", 1.0, seed=1)]
+    change = [_result(tmp_path, "c0", "bb", 1.0),
+              _result(tmp_path, "c1", "bb", 1.0, seed=1, trace=1, failed=2)]
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_record.main(argv) == 2
+    assert capsys.readouterr().err == f"error: change runs with failed operations: {change[1]}\n"
+    assert not out.exists()
+
+
+def test_refuses_a_file_given_twice(tmp_path, capsys):
+    parent = [_result(tmp_path, "p0", "aa", 1.0)]
+    change = [_result(tmp_path, "c0", "bb", 1.0)]
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent[0]), str(parent[0]), "--change", str(change[0]),
+            "--out", str(out)]
+    assert bench_record.main(argv) == 2
+    assert capsys.readouterr().err == f"error: parent file {parent[0]} repeats {parent[0]}\n"
+    copy = tmp_path / "copy.json"
+    copy.write_text(change[0].read_text())   # a copy counts as the same run
+    with pytest.raises(bench_record.RecordError, match="change file .*copy.json repeats"):
+        bench_record.record(parent, [change[0], copy])
+    assert not out.exists()
 
 
 def test_writes_the_bench_file(tmp_path):

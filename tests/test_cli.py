@@ -254,3 +254,32 @@ def test_ctrl_c_leaves_a_resumable_checkpoint(tmp_path):
 
 def test_usage_without_command(capsys):
     assert main([]) == 2
+
+
+_CHECK_STEPS = ("census_shortcut", "summary_shortcut", "census_classic", "null_window", "cst",
+                "bound_chain", "record_prefixes", "properties", "diophantine", "determinism")
+
+
+def test_check_times_each_check_on_stderr_only(monkeypatch, capsys):
+    from collatz_paradox.checks import CheckResult, Scoreboard
+
+    def stub(name, ok, pause):
+        def check(self):
+            time.sleep(pause)
+            return CheckResult(name, ok, "")
+        return check
+
+    for i, name in enumerate(_CHECK_STEPS):
+        monkeypatch.setattr(Scoreboard, name, stub(name, i != 4, 0.05 if i == 3 else 0.0))
+    results = Scoreboard().run_all()
+    assert [r.name for r in results] == list(_CHECK_STEPS)
+    assert results[3].seconds >= 0.05
+    assert all(0 <= r.seconds < 0.05 for i, r in enumerate(results) if i != 3)
+
+    assert main(["check"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "".join(("FAIL " if i == 4 else "PASS ") + name + "\n"
+                          for i, name in enumerate(_CHECK_STEPS)) + "\n9/10 checks passed\n"
+    lines = [line.split() for line in err.splitlines()]
+    assert [(unit, name) for _, unit, name in lines] == [("s", name) for name in _CHECK_STEPS]
+    assert float(lines[3][0]) >= 0.05

@@ -1,12 +1,21 @@
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import collatz_paradox
 from collatz_paradox import runner
 from collatz_paradox.cli import EXIT_FAIL, main
-from collatz_paradox.runner import CheckpointCorrupt, SearchConfig, run_search
+from collatz_paradox.dynamics import Formalism
+from collatz_paradox.runner import CheckpointCorrupt, SearchConfig, hits_csv_text, run_search
+
+MEMO_FULL = 1 << 20
 
 
 def _first_block_fails(args):
@@ -99,3 +108,120 @@ def test_block_settings_are_checked_by_the_api():
     with pytest.raises(ValueError, match="max blocks"):
         run_search(SearchConfig(3, 100), max_blocks=-1)
     assert run_search(SearchConfig(3, 100), max_blocks=0).blocks_done == 0
+
+
+def _ranges(lo: int, hi: int, width: int):
+    return st.tuples(st.integers(lo, hi), st.integers(0, width)).map(
+        lambda t: (t[0], t[0] + t[1]))
+
+
+def _with_block_size(ranges):
+    # (a, b, block size), the block size cutting [a, b] into 1 to 12 blocks
+    return st.tuples(ranges, st.integers(1, 12)).map(
+        lambda t: (*t[0], -(-(t[0][1] - t[0][0] + 1) // t[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_with_block_size(st.one_of(
+           _ranges(3, 10**4 - 2000, 2000),                       # where the hits lie
+           st.tuples(st.integers(MEMO_FULL - 60, MEMO_FULL),      # straddles the 2**20 memo
+                     st.integers(MEMO_FULL + 1, MEMO_FULL + 60)),
+           _ranges(MEMO_FULL + 1, 1 << 40, 40))),                 # the 2**16 far memo
+       threads=st.integers(1, 2), formalism=st.sampled_from(Formalism))
+def test_pool_run_equals_a_serial_run(case, threads, formalism):
+    lo, hi, block = case
+    pooled = run_search(SearchConfig(lo, hi, formalism, block_size=block), threads=threads)
+    serial = run_search(SearchConfig(lo, hi, formalism), threads=1)
+    assert pooled.pairs == serial.pairs
+    assert hits_csv_text(pooled, timestamp=False) == hits_csv_text(serial, timestamp=False)
+
+
+def _python(code: str, *args: str) -> str:
+    # A fresh process, so that its memo starts empty; a hang fails the test.
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                          check=True, capture_output=True, text=True, timeout=120).stdout
+
+
+_BOTH_ORDERS = """
+    import json, sys
+    from collatz_paradox import runner, search
+    from collatz_paradox.dynamics import Formalism
+
+    real_fill = search.fill_excursion_memo
+
+    def logged_fill(memo, lo, hi):   # pool workers inherit the patch by fork
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{lo} {hi}\\n")
+        real_fill(memo, lo, hi)
+
+    search.fill_excursion_memo = logged_fill
+    out = {}
+    for name, lo, hi, threads in json.loads(sys.argv[2]):
+        cfg = runner.SearchConfig(lo, hi, Formalism.CLASSIC, block_size=8192)
+        res = runner.run_search(cfg, threads=threads)
+        out[name] = [runner.hits_csv_text(res, timestamp=False), search._memo[search._MEMO_FULL]]
+    print(json.dumps(out))
+"""
+
+
+def test_serial_and_pool_runs_share_the_memo_in_either_order(tmp_path):
+    # A serial run and then a pool run in one process, and the other way
+    # round, as Scoreboard mixes them.  The parent sees the entries that the
+    # workers built, and each entry is built once, by the first process that
+    # needs it.
+    small, large = (3, 30000), (3, 90000)
+    want = {name: hits_csv_text(run_search(SearchConfig(lo, hi, Formalism.CLASSIC)),
+                                timestamp=False)
+            for name, (lo, hi) in (("small", small), ("large", large))}
+    for order, threads in (("serial first", (1, 2)), ("pool first", (2, 1))):
+        runs = [("small", *small, threads[0]), ("large", *large, threads[1])]
+        log = tmp_path / f"{order}.log"
+        got = json.loads(_python(_BOTH_ORDERS, str(log), json.dumps(runs)))
+        assert {name: csv for name, (csv, _) in got.items()} == want, order
+        assert [got["small"][1], got["large"][1]] == [30001, 90001], order
+        fills = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert fills[0][0] == 0 and fills[-1][1] == 90001, (order, fills)
+        assert all(a[1] == b[0] for a, b in zip(fills, fills[1:])), (order, fills)
+
+
+_DEAD_WORKER = """
+    import os, signal, sys
+    from concurrent.futures.process import BrokenProcessPool
+    from collatz_paradox import runner, search
+
+    parent = os.getpid()
+    real_fill = search.fill_excursion_memo
+
+    def dying_fill(memo, lo, hi):   # pool workers inherit the patch by fork
+        if os.getpid() != parent and hi > 20000:
+            mid = (lo + hi) // 2
+            real_fill(memo, lo, mid)
+            memo[mid:hi] = memoryview(bytes(8 * (hi - mid))).cast("q")   # wrong entries
+            os.kill(os.getpid(), signal.SIGKILL)   # with the memo lock held
+        real_fill(memo, lo, hi)
+
+    cfg = runner.SearchConfig(3, 40000, block_size=4096)
+    search.fill_excursion_memo = dying_fill
+    try:
+        runner.run_search(cfg, threads=2, checkpoint=sys.argv[1])
+    except BrokenProcessPool:
+        print("broken", search._memo[search._MEMO_FULL])
+    search.fill_excursion_memo = real_fill
+    # the same process resumes, serially or with a new pool
+    resumed = runner.run_search(cfg, threads=int(sys.argv[2]), checkpoint=sys.argv[1])
+    print(runner.hits_csv_text(resumed, timestamp=False), end="")
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_worker_killed_while_it_fills_the_memo_breaks_the_run(tmp_path, threads):
+    # The run must end with BrokenProcessPool, not hang on the lock the dead
+    # worker held; the entries it wrote are not counted as built, and a resume
+    # in the same process gives the bytes of an uninterrupted run.
+    ck = tmp_path / "ck.txt"
+    out = _python(_DEAD_WORKER, str(ck), str(threads))
+    status, _, csv = out.partition("\n")
+    word, filled = status.split()
+    assert word == "broken" and int(filled) <= 20000
+    assert csv == hits_csv_text(run_search(SearchConfig(3, 40000)), timestamp=False)

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import types
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from collatz_paradox.census import _decimal
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
 from collatz_paradox.runner import SearchConfig, run_search
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
-                                    delay, extend_excursion_memo, max_excursion,
+                                    delay, fill_excursion_memo, max_excursion,
                                     naive_paradoxes, scan_paradoxes,
                                     stopping_time, verify_cst)
 
@@ -129,9 +130,9 @@ def test_scan_matches_naive_oracle(window, formalism):
 
 
 def test_excursion_memo_matches_max_excursion():
-    memo = array("q")
-    extend_excursion_memo(memo, 3001)
-    extend_excursion_memo(memo, 5001)   # growing in two parts gives the same entries
+    memo = array("q", bytes(8)) * 5001
+    fill_excursion_memo(memo, 0, 3001)
+    fill_excursion_memo(memo, 3001, 5001)   # filling in two parts gives the same entries
     assert memo[0] == 0
     assert list(memo[1:]) == [max_excursion(m) for m in range(1, 5001)]
 
@@ -149,19 +150,20 @@ def test_memo_is_lazy_and_sized_by_the_range():
     # rows are built by the first scan, for its start jumps
     code = "\n".join([
         "from collatz_paradox import records, search",
-        "assert len(search._excursion_memo) == 0 and len(search._jump_table) == 0",
+        "assert search._memo is None and len(search._jump_table) == 0",
         "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
-        "assert len(search._excursion_memo) == 0 and len(search._jump_table) == 0",
+        "assert search._memo is None and len(search._jump_table) == 0",
+        "filled = lambda: search._memo[search._MEMO_FULL]   # the filled length",
         "search.scan_paradoxes(3, 5000, search.Formalism.CLASSIC)",
-        "assert len(search._excursion_memo) == 5001",
+        "assert filled() == 5001",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
         "search.scan_paradoxes(2**40, 2**40 + 10)",
-        "assert len(search._excursion_memo) == 1 << 16",
+        "assert filled() == 1 << 16",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
         "search.scan_paradoxes(3, 5000)",
-        "assert len(search._excursion_memo) == 1 << 16",
+        "assert filled() == 1 << 16",
         "search.scan_paradoxes(100000, 100010)",
-        "assert len(search._excursion_memo) == 100011",
+        "assert filled() == 100011",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
@@ -253,8 +255,8 @@ def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
 @pytest.mark.parametrize("formalism", list(Formalism))
 @pytest.mark.parametrize("lo, hi", [(3, 400), (150, 550), (5000, 5400)])
 def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
-    memo = array("q")
-    extend_excursion_memo(memo, hi + 1)
+    memo = array("q", bytes(8)) * (hi + 1)
+    fill_excursion_memo(memo, 0, hi + 1)
     walks = [_plain_walk(n, formalism, memo) for n in range(lo, hi + 1)]
     for budget in range(1, 61):
         over = [n for n, (_, length) in zip(range(lo, hi + 1), walks) if length > budget]
@@ -271,8 +273,8 @@ def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
 
 @functools.lru_cache(maxsize=None)
 def _fresh_memo(size: int):
-    memo = array("q")
-    extend_excursion_memo(memo, size)
+    memo = array("q", bytes(8)) * size
+    fill_excursion_memo(memo, 0, size)
     return lambda n_lo, n_hi: (memo, size)
 
 
@@ -325,6 +327,15 @@ def test_census_submodule_is_reachable_from_the_package():
     rows, summary = collatz_paradox.census.census(run_search(SearchConfig(3, 30)).hits())
     assert [(r.key(), r.count) for r in rows] == [((8, 5), 5)]
     assert summary.distinct_starts == 5
+
+
+def test_package_exports_are_a_literal_list_of_names():
+    exported = collatz_paradox.__all__
+    assert len(exported) == len(set(exported)) == 63
+    public = {name for name, value in vars(collatz_paradox).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == public   # every public name, and no module
+    assert isinstance(collatz_paradox.census, types.ModuleType)
 
 
 def test_census_decimal_rendering_nearest():

@@ -19,7 +19,10 @@ give the end-to-end metrics, traced runs (--trace 1) the per-layer ones.
 The tool refuses its inputs (exit 2) when the files of one side disagree on
 the `src_sha256` of their metadata (two different codes mixed on one side),
 when the two sides share one, or when the files disagree on the machine
-(nproc, Python version, package version).  It reads perfbench output only.
+(nproc, Python version, package version).  It also refuses a side with a run
+that had failed operations, whose timings measure a wrong answer, and a side
+that holds one file twice (by path or as a copy), which would count one run
+as two.  It reads perfbench output only.
 """
 
 from __future__ import annotations
@@ -50,7 +53,16 @@ def summary(values: list[float]) -> dict:
 
 
 def load_side(paths: list[Path], side: str) -> list[dict]:
-    results = [json.loads(Path(p).read_text()) for p in paths]
+    texts: dict[str, Path] = {}
+    for p in paths:
+        text = Path(p).read_text()
+        if text in texts:
+            raise RecordError(f"{side} file {p} repeats {texts[text]}")
+        texts[text] = p
+    results = [json.loads(text) for text in texts]
+    failed = [str(p) for r, p in zip(results, texts.values()) if r["failed"]]
+    if failed:
+        raise RecordError(f"{side} runs with failed operations: {', '.join(failed)}")
     digests = sorted({r["meta"]["src_sha256"] for r in results})
     if len(digests) != 1:
         raise RecordError(f"{side} files disagree on src_sha256: {', '.join(digests)}")
