@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Formalism, Trajectory, trajectory
+from .dynamics import Trajectory, trajectory
 from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
 # ---------------------------------------------------------------------------
@@ -72,30 +72,24 @@ def remainder_bounds(j: int, q: int) -> RemainderBounds:
                            lower_class, upper_class)
 
 
-def mean_remainder(j: int, formalism: Formalism = Formalism.SHORTCUT) -> Fraction:
-    """Arithmetic mean of the remainders over one full period n = 1..2**j."""
+def mean_remainder(j: int) -> Fraction:
+    """Arithmetic mean of the compressed-map remainders over one full period
+    n = 1..2**j."""
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > 22:
         raise ValueError("j > 22 enumerates too many residues")
-    total_num = 0   # common denominator 2**(2j): per-residue E = num / 2**e with e <= j
-    shortcut = formalism is Formalism.SHORTCUT
+    total_num = 0   # common denominator 2**(2j): per-residue E = num / 2**j
     for n in range(1, (1 << j) + 1):
         cur = n
         num = 0
-        e = 0
-        for _ in range(j):
+        for e in range(j):   # e halvings so far: one per compressed step
             if cur & 1:
                 num = 3 * num + (1 << e)
-                if shortcut:
-                    cur = (3 * cur + 1) >> 1
-                    e += 1
-                else:
-                    cur = 3 * cur + 1
+                cur = (3 * cur + 1) >> 1
             else:
                 cur >>= 1
-                e += 1
-        total_num += num << (j - e)
+        total_num += num
     return Fraction(total_num, 1 << (2 * j))
 
 
@@ -169,8 +163,12 @@ def harmonic_cap_holds(j: int, m: int) -> bool:
     return (m**q << j) <= (3 * m + 1) ** q
 
 
-def smallest_harmonic_cap_j(m: int, j_limit: int = 400_000, prec: int = 192) -> int:
-    """Least j > 1 with H(j) >= m.
+# Where the scan gives up: past the largest j the bound chain needs (j1 = 301994).
+HARMONIC_CAP_J_LIMIT = 400_000
+
+
+def smallest_harmonic_cap_j(m: int, prec: int = 192) -> int:
+    """Least j > 1 with H(j) >= m, for j <= HARMONIC_CAP_J_LIMIT.
 
     The condition is j <= q * log2(3 + 1/m) with q = floor(j * log2/log3).
     Certified intervals for both logs decide almost every j; any straddled
@@ -181,7 +179,7 @@ def smallest_harmonic_cap_j(m: int, j_limit: int = 400_000, prec: int = 192) -> 
         raise ValueError("m must be >= 1")
     lo, hi = log2_ratio_scaled(3 * m + 1, m, prec)
     r_lo, r_hi = div_scaled(ln2_scaled(prec), ln3_scaled(prec), prec)
-    for j in range(2, j_limit + 1):
+    for j in range(2, HARMONIC_CAP_J_LIMIT + 1):
         q = (j * r_lo) >> prec
         if q != (j * r_hi) >> prec:
             q = floor_log_ratio(j)
@@ -194,7 +192,7 @@ def smallest_harmonic_cap_j(m: int, j_limit: int = 400_000, prec: int = 192) -> 
             continue
         if (m**q << j) <= (3 * m + 1) ** q:   # straddle: decide exactly
             return j
-    raise ValueError(f"no j <= {j_limit} with H(j) >= {m}")
+    raise ValueError(f"no j <= {HARMONIC_CAP_J_LIMIT} with H(j) >= {m}")
 
 
 def coefficient_ceiling_q(j: int, m: int) -> int:

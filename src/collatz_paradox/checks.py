@@ -41,6 +41,9 @@ EXPECTED_CLASSIC_PAIRS = set(EXPECTED_SHORTCUT_CENSUS) | {(16, 10), (130, 82)}
 
 EXPECTED_CONVERGENTS = [(0, 1), (1, 1), (1, 2), (2, 3), (5, 8), (12, 19), (41, 65)]
 
+LINEAR_FORM_SAMPLES = 100_000
+LINEAR_FORM_SEED = 20260810
+
 
 @dataclass
 class CheckResult:
@@ -149,10 +152,10 @@ class Scoreboard:
                            ok, f"M({last.n})={last.value}")
 
     # -- criterion 8 -------------------------------------------------------
-    def property_linear_form(self, samples: int = 100_000, seed: int = 20260810) -> CheckResult:
-        rng = random.Random(seed)
+    def property_linear_form(self) -> CheckResult:
+        rng = random.Random(LINEAR_FORM_SEED)
         bad = 0
-        for _ in range(samples):
+        for _ in range(LINEAR_FORM_SAMPLES):
             scale = rng.choice((10**3, 10**6, 10**12, 10**18, 1 << 200))
             n = rng.randrange(1, scale)
             j = rng.randrange(0, 121)
@@ -160,7 +163,7 @@ class Scoreboard:
             t = trajectory(n, j, f)
             if not t.check_identity() or (1 << t.e) % t.remainder().denominator:
                 bad += 1
-        return CheckResult(f"linear-form identity on {samples} random triples",
+        return CheckResult(f"linear-form identity on {LINEAR_FORM_SAMPLES} random triples",
                            bad == 0, f"violations={bad}")
 
     def property_monotonicity(self) -> CheckResult:
@@ -241,7 +244,7 @@ class Scoreboard:
                            ok, f"cap={cap} convergents={convs[:4]}...")
 
     # -- criterion 10 ------------------------------------------------------
-    def determinism(self, tmpdir=None) -> CheckResult:
+    def determinism(self) -> CheckResult:
         import tempfile
         from pathlib import Path
 
@@ -256,7 +259,7 @@ class Scoreboard:
         cfg = SearchConfig(3, 10**6)
         reference = hits_csv_text(self.search(Formalism.SHORTCUT, self.threads),
                                   timestamp=False)
-        with tempfile.TemporaryDirectory(dir=tmpdir) as td:
+        with tempfile.TemporaryDirectory() as td:
             ck = Path(td) / "checkpoint.txt"
             part = run_search(cfg, threads=self.threads, checkpoint=ck, max_blocks=7)
             resumed = run_search(cfg, threads=self.threads, checkpoint=ck)

@@ -39,13 +39,24 @@ def parse_bound(s: str) -> int:
     s = s.strip().replace("_", "")
     if "^" in s:
         base, _, exp = s.partition("^")
-        return int(base) ** int(exp)
+        power = int(exp)
+        if power < 0:
+            raise argparse.ArgumentTypeError(f"{s!r} is not an integer")
+        return int(base) ** power
     if any(c in s for c in "eE."):
         d = Decimal(s)
         if d != d.to_integral_value():
             raise argparse.ArgumentTypeError(f"{s!r} is not an integer")
         return int(d)
     return int(s)
+
+
+def parse_count(s: str) -> int:
+    """A non-negative integer."""
+    v = int(s)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{s!r} is negative")
+    return v
 
 
 def parse_range(s: str) -> tuple[int, int]:
@@ -80,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="stop after K new blocks (leaves a resumable checkpoint)")
     ps.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp header line from output files")
-    ps.add_argument("--decimals", type=int, default=2)
+    ps.add_argument("--decimals", type=parse_count, default=2)
 
     pc = sub.add_parser("cst", help="verify stopping time = coefficient stopping time")
     pc.add_argument("--range", type=parse_range, required=True, metavar="A..B")
@@ -94,10 +105,19 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--cap", type=int, default=16)
 
     pb = sub.add_parser("bounds", help="recompute the published bound values")
-    pb.add_argument("subquery", choices=["chain", "heuristic", "convergents",
-                                         "rhin", "mean", "extremes"])
-    pb.add_argument("args", nargs="*", help="subquery arguments")
-    pb.add_argument("--refs", metavar="DIR", help="reference-table directory override")
+    bq = pb.add_subparsers(dest="subquery", required=True, metavar="SUBQUERY")
+    bq.add_parser("chain", help="the two-stage length-bound chain").add_argument(
+        "--refs", metavar="DIR", help="reference-table directory override")
+    for name, text, params in (
+            ("heuristic", "largest j the heuristic length bound admits",
+             (("alpha", Fraction), ("beta", Fraction))),
+            ("convergents", "the first COUNT convergents of log2/log3", (("count", int),)),
+            ("rhin", "Rhin's gap bound for one (j, q)", (("j", int), ("q", int))),
+            ("mean", "mean compressed-map remainder over one period", (("j", int),)),
+            ("extremes", "extremal remainders and their residues", (("j", int), ("q", int)))):
+        bp = bq.add_parser(name, help=text)
+        for dest, kind in params:
+            bp.add_argument(dest, type=kind, metavar=dest.upper())
 
     pr = sub.add_parser("records", help="compute record tables and compare to references")
     pr.add_argument("--kind", type=RecordKind.parse, required=True,
@@ -165,7 +185,6 @@ def cmd_poset(args) -> int:
 
 def cmd_bounds(args) -> int:
     q = args.subquery
-    a = args.args
     if q == "chain":
         mex, delays = (ingest_reference_records(kind, reference_path(kind, args.refs))
                        for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL))
@@ -173,48 +192,29 @@ def cmd_bounds(args) -> int:
         print("\n".join(rep.lines()))
         return EXIT_OK if rep.consistent else EXIT_FAIL
     if q == "heuristic":
-        if len(a) != 2:
-            print("usage: bounds heuristic ALPHA BETA", file=sys.stderr)
-            return EXIT_USAGE
-        cap = NT.heuristic_j_cap(a[0], a[1])
+        cap = NT.heuristic_j_cap(args.alpha, args.beta)
         print(f"threshold constant 3*log3/log2 = {NT.heuristic_threshold_str()}...")
         print(f"largest admissible j = {cap} (i.e. j < {cap + 1})")
         return EXIT_OK
     if q == "convergents":
-        if len(a) != 1:
-            print("usage: bounds convergents COUNT", file=sys.stderr)
-            return EXIT_USAGE
-        for c in NT.convergents(int(a[0])):
+        for c in NT.convergents(args.count):
             print(f"{c.index}: {c.p}/{c.q} ({c.side})")
         return EXIT_OK
     if q == "rhin":
-        if len(a) != 2:
-            print("usage: bounds rhin J Q", file=sys.stderr)
-            return EXIT_USAGE
-        j, qq = int(a[0]), int(a[1])
-        ok = NT.rhin_gap_ok(j, qq)
-        print(f"|{j} log2 - {qq} log3| >= max(j,q)^-13.3: {ok}")
+        ok = NT.rhin_gap_ok(args.j, args.q)
+        print(f"|{args.j} log2 - {args.q} log3| >= max(j,q)^-13.3: {ok}")
         return EXIT_OK if ok else EXIT_FAIL
     if q == "mean":
-        if len(a) != 1:
-            print("usage: bounds mean J", file=sys.stderr)
-            return EXIT_USAGE
-        j = int(a[0])
-        m = B.mean_remainder(j)
-        print(f"mean remainder over one period at length {j}: {m} "
-              f"(= j/4: {m == Fraction(j, 4)})")
+        m = B.mean_remainder(args.j)
+        print(f"mean remainder over one period at length {args.j}: {m} "
+              f"(= j/4: {m == Fraction(args.j, 4)})")
         return EXIT_OK
-    if q == "extremes":
-        if len(a) != 2:
-            print("usage: bounds extremes J Q", file=sys.stderr)
-            return EXIT_USAGE
-        rb = B.remainder_bounds(int(a[0]), int(a[1]))
-        print(f"lower = {rb.lower.numerator}/{rb.lower.denominator} "
-              f"attained at n = {rb.lower_class} (mod 2^{rb.j})")
-        print(f"upper = {rb.upper.numerator}/{rb.upper.denominator} "
-              f"attained at n = {rb.upper_class} (mod 2^{rb.j})")
-        return EXIT_OK
-    return EXIT_USAGE
+    rb = B.remainder_bounds(args.j, args.q)   # extremes
+    print(f"lower = {rb.lower.numerator}/{rb.lower.denominator} "
+          f"attained at n = {rb.lower_class} (mod 2^{rb.j})")
+    print(f"upper = {rb.upper.numerator}/{rb.upper.denominator} "
+          f"attained at n = {rb.upper_class} (mod 2^{rb.j})")
+    return EXIT_OK
 
 
 def cmd_records(args) -> int:

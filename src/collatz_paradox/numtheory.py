@@ -187,11 +187,10 @@ class DivergenceWitness:
 
 
 def pair_in_s(n: int, pair: ApproxPair) -> bool:
-    """Exact membership of (a, b) in the set S attached to n."""
+    """Exact membership of (a, b) in the set S attached to n: 1 - 1/(4n) < 3^a/2^b < 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, b = pair.a, pair.b
-    return 3**a < (1 << b) and ((4 * n - 1) << b) < 4 * n * 3**a
+    return pair.validate(Fraction(1, 4 * n))
 
 
 def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
@@ -245,37 +244,32 @@ def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
 RHIN_EXPONENT = Fraction(133, 10)
 
 
-def rhin_gap_ok(j: int, q: int, prec_cap: int = 1 << 15) -> bool:
+def rhin_gap_ok(j: int, q: int) -> bool:
     """Certified check of |j ln2 - q ln3| >= max(j, q)**-13.3.
 
-    Interval evaluation with widening precision; raises Undecided at the cap
+    The margin ln|j ln2 - q ln3| + 13.3 ln max(j, q) is refined from 128 bits
+    until its sign is certain; an interval for j ln2 - q ln3 that still
+    straddles 0 gives a margin that contains 0.  Raises Undecided at the cap
     instead of guessing (the inequality is never decided by rounding).
     """
     h = max(abs(j), abs(q))
     if h < 2:
         raise ValueError("need max(|j|, |q|) >= 2")
-    prec = 128
-    while prec <= prec_cap:
+
+    def margin(prec: int) -> tuple[int, int]:
         l2 = ln2_scaled(prec)
         l3 = ln3_scaled(prec)
         lam_lo = j * l2[0] - q * l3[1]
         lam_hi = j * l2[1] - q * l3[0]
         if lam_lo <= 0 <= lam_hi:
-            prec *= 2
-            continue
+            return -1, 1
         if lam_hi < 0:
             lam_lo, lam_hi = -lam_hi, -lam_lo
-        ln_lam = (ln_scaled(lam_lo, 1 << prec, prec)[0],
-                  ln_scaled(lam_hi, 1 << prec, prec)[1])
+        ln_lam = _ln_of_bounds((lam_lo, lam_hi), prec)
         ln_h = mul_frac_scaled(ln_scaled(h, 1, prec), RHIN_EXPONENT)
-        d_lo = ln_lam[0] + ln_h[0]
-        d_hi = ln_lam[1] + ln_h[1]
-        if d_lo >= 0:
-            return True
-        if d_hi < 0:
-            return False
-        prec *= 2
-    raise Undecided("gap comparison not decided within the precision cap")
+        return ln_lam[0] + ln_h[0], ln_lam[1] + ln_h[1]
+
+    return certified_sign(margin, start_prec=128) > 0
 
 
 def _ln_of_bounds(bounds: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -294,19 +288,18 @@ def _ln_heuristic_threshold(prec: int) -> tuple[int, int]:
     return l3[0] + lnl3[0] - lnl2[1], l3[1] + lnl3[1] - lnl2[0]
 
 
-def heuristic_threshold_str(decimals: int = 3, prec: int = 128) -> str:
-    """Decimal rendering of the constant 3 ln3/ln2 = 4.754... (display only)."""
+def heuristic_threshold_str() -> str:
+    """The constant 3 ln3/ln2 = 4.754... to 3 decimals, truncated (display only)."""
+    prec = 128
     lo, hi = mul_frac_scaled(div_scaled(ln3_scaled(prec), ln2_scaled(prec), prec), Fraction(3))
-    scale = 10**decimals
-    v_lo = lo * scale >> prec
-    v_hi = hi * scale >> prec
-    if v_lo != v_hi:
-        raise Undecided("increase prec for the requested decimals")
-    whole, frac = divmod(v_lo, scale)
-    return f"{whole}.{frac:0{decimals}d}"
+    v_lo = lo * 1000 >> prec
+    if v_lo != hi * 1000 >> prec:
+        raise Undecided("3 ln3/ln2 to 3 decimals not certified at 128 bits")
+    whole, frac = divmod(v_lo, 1000)
+    return f"{whole}.{frac:03d}"
 
 
-def heuristic_j_cap(alpha, beta, prec_cap: int = 1 << 14) -> int:
+def heuristic_j_cap(alpha, beta) -> int:
     """Largest j compatible with j**14.3 * exp(-j/(alpha*beta)) > 3 ln3/ln2.
 
     alpha and beta are taken as exact rationals (decimal strings and floats
@@ -329,7 +322,7 @@ def heuristic_j_cap(alpha, beta, prec_cap: int = 1 << 14) -> int:
         return lnj[0] - lin_hi - thr[1], lnj[1] - lin_lo - thr[0]
 
     def holds(jv: int) -> bool:
-        return certified_sign(lambda prec: margin(jv, prec), prec_cap=prec_cap) > 0
+        return certified_sign(lambda prec: margin(jv, prec), prec_cap=1 << 14) > 0
 
     j_star = -((-143 * ab.numerator) // (10 * ab.denominator))  # ceil(14.3 ab)
     j_star = max(j_star, 2)

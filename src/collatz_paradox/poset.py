@@ -17,6 +17,7 @@ from .dynamics import Formalism, trajectory
 from .vectors import ParityVector
 
 HASSE_DEFAULT_CAP = 16
+PAIRWISE_J_MAX = 10   # check_remainder_monotonicity tests every pair up to here
 
 
 class PosetRelation(enum.Enum):
@@ -140,11 +141,11 @@ class MonotonicityReport:
         return not self.violations
 
 
-def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTCUT,
-                                 pairwise_cap: int = 10) -> MonotonicityReport:
+def check_remainder_monotonicity(j: int,
+                                 formalism: Formalism = Formalism.SHORTCUT) -> MonotonicityReport:
     """Strictly preceding parity vectors must have strictly larger remainders.
 
-    Brute force over all residues mod 2**j.  Up to `pairwise_cap` every
+    Brute force over all residues mod 2**j.  Up to PAIRWISE_J_MAX every
     comparable pair is tested; beyond it only cover pairs are (which imply the
     full statement by transitivity, keeping larger j affordable).  Cover mode
     needs the shortcut map: a cover of a classic parity vector may contain 11,
@@ -155,10 +156,10 @@ def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("j must be >= 1")
     if j > 16:
         raise ValueError("j > 16 not supported (2**j residues)")
-    if j > pairwise_cap and formalism is Formalism.CLASSIC:
+    if j > PAIRWISE_J_MAX and formalism is Formalism.CLASSIC:
         raise ValueError("cover mode needs the shortcut map: a cover of a classic "
                          "parity vector may contain 11, which no classic trajectory "
-                         f"realises; use pairwise_cap >= j ({j})")
+                         f"realises; classic lengths stop at {PAIRWISE_J_MAX}, got {j}")
     # v -> (n, E numerator), one residue per vector: the remainder depends on
     # the parity vector alone, and all remainders of one weight q share the
     # denominator 2**e, e = j on the shortcut map and j - q on the classic map
@@ -169,7 +170,7 @@ def check_remainder_monotonicity(j: int, formalism: Formalism = Formalism.SHORTC
 
     violations = []
     checked = 0
-    if j <= pairwise_cap:
+    if j <= PAIRWISE_J_MAX:
         by_weight: dict[int, list[tuple[ParityVector, int, int]]] = {}
         for v, (n, num) in by_vector.items():
             by_weight.setdefault(v.q, []).append((v, n, num))

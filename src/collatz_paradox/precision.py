@@ -24,10 +24,6 @@ class Undecided(ArithmeticError):
     """A comparison could not be certified within the precision cap."""
 
 
-def _div_floor(a: int, b: int) -> int:
-    return a // b  # Python floors toward -inf
-
-
 def _div_ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -99,7 +95,7 @@ def div_scaled(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, 
     blo, bhi = b
     if blo <= 0:
         raise ValueError("divisor interval must be strictly positive")
-    lo = _div_floor(alo << prec, bhi if alo >= 0 else blo)
+    lo = (alo << prec) // (bhi if alo >= 0 else blo)   # // floors toward -inf
     hi = _div_ceil(ahi << prec, blo if ahi >= 0 else bhi)
     return lo, hi
 
@@ -109,7 +105,7 @@ def mul_frac_scaled(a: tuple[int, int], f: Fraction) -> tuple[int, int]:
     if f < 0:
         raise ValueError("only positive rational scaling is supported")
     alo, ahi = a
-    return _div_floor(alo * f.numerator, f.denominator), _div_ceil(ahi * f.numerator, f.denominator)
+    return alo * f.numerator // f.denominator, _div_ceil(ahi * f.numerator, f.denominator)
 
 
 def log2_ratio_scaled(p: int, q: int, prec: int) -> tuple[int, int]:

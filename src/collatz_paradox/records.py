@@ -110,14 +110,15 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     raise ValueError(f"unsupported record kind {kind}")
 
 
-def recompute_value(n: int, kind: RecordKind, budget: int = 10_000_000) -> int:
-    """The statistic of a single n, by direct trajectory."""
+def recompute_value(n: int, kind: RecordKind) -> int:
+    """The statistic of a single n, by direct trajectory under the oracles'
+    default step budget (every packaged holder needs fewer than 1000 steps)."""
     if kind is RecordKind.MAX_EXCURSION_T:
-        return max_excursion(n, Formalism.SHORTCUT, budget)
+        return max_excursion(n)
     if kind is RecordKind.DELAY_COL:
-        return delay(n, Formalism.CLASSIC, budget)
+        return delay(n, Formalism.CLASSIC)
     if kind is RecordKind.DELAY_T:
-        return delay(n, Formalism.SHORTCUT, budget)
+        return delay(n)
     raise ValueError(f"unsupported record kind {kind}")
 
 
@@ -277,8 +278,11 @@ class BoundChainReport:
         ]
 
 
-def theorem5_bound_chain(mex: RecordTable, delays: RecordTable,
-                         n0: int = 10**9) -> BoundChainReport:
+# The bound below which the paradox search is exhaustive.
+N0 = 10**9
+
+
+def theorem5_bound_chain(mex: RecordTable, delays: RecordTable) -> BoundChainReport:
     """Recompute the bound chain from the ingested max-excursion and classic
     delay tables.
 
@@ -288,7 +292,7 @@ def theorem5_bound_chain(mex: RecordTable, delays: RecordTable,
     if mex.kind is not RecordKind.MAX_EXCURSION_T or delays.kind is not RecordKind.DELAY_COL:
         raise ValueError("the bound chain needs a max-excursion-t and a delay-col table, "
                          f"got {mex.kind.value} and {delays.kind.value}")
-    m0 = mex.smallest_holder_with_value(n0)
+    m0 = mex.smallest_holder_with_value(N0)
     j0 = smallest_harmonic_cap_j(m0)
     q0 = coefficient_ceiling_q(j0, m0)
     needed = j0 + q0
@@ -296,5 +300,5 @@ def theorem5_bound_chain(mex: RecordTable, delays: RecordTable,
     n1 = delays.frontier_holder_bound()
     m1 = mex.smallest_holder_with_value(n1, strict=True)
     j1 = smallest_harmonic_cap_j(m1)
-    return BoundChainReport(n0, m0, j0, q0, needed, max_delay, n1, m1, j1,
+    return BoundChainReport(N0, m0, j0, q0, needed, max_delay, n1, m1, j1,
                             consistent=needed > max_delay)

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 import tempfile
 import time
+from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,17 +57,23 @@ class SearchConfig:
         key = f"v1|{self.lo}|{self.hi}|{self.formalism.value}|{self.budget}|{self.block_size}"
         return hashlib.sha256(key.encode()).hexdigest()
 
-    def blocks(self) -> list[tuple[int, int, int]]:
-        """(index, lo, hi) triples covering [lo, hi] inclusively."""
-        out = []
-        idx = 0
-        lo = self.lo
-        while lo <= self.hi:
-            hi = min(lo + self.block_size - 1, self.hi)
-            out.append((idx, lo, hi))
-            lo = hi + 1
-            idx += 1
-        return out
+    def blocks(self) -> Sequence[tuple[int, int, int]]:
+        """The (index, lo, hi) blocks covering [lo, hi] inclusively, as a
+        sequence that computes each block when it is read."""
+        return _Blocks(self)
+
+
+class _Blocks(Sequence):
+    def __init__(self, cfg: SearchConfig):
+        self.cfg = cfg
+
+    def __len__(self) -> int:
+        return -(-(self.cfg.hi - self.cfg.lo + 1) // self.cfg.block_size)
+
+    def __getitem__(self, idx: int) -> tuple[int, int, int]:
+        idx = range(len(self))[idx]   # IndexError past the end; negatives count back
+        lo = self.cfg.lo + idx * self.cfg.block_size
+        return idx, lo, min(lo + self.cfg.block_size - 1, self.cfg.hi)
 
 
 @dataclass
@@ -95,74 +103,65 @@ class CheckpointCorrupt(ValueError):
     """A checkpoint file that cannot be read as a version-1 checkpoint."""
 
 
-class _Checkpoint:
-    def __init__(self, path: Path, cfg: SearchConfig):
-        self.path = path
-        self.cfg = cfg
-        self.done: dict[int, list[tuple[int, int]]] = {}
-
-    def load(self) -> None:
-        if not self.path.exists():
-            return
-        done: set[int] = set()
-        hits: dict[int, list[tuple[int, int]]] = {}
-        version = digest = None
-        with self.path.open() as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                try:
-                    if key == "version":
-                        version = val
-                    elif key == "digest":
-                        digest = val
-                    elif key == "done":
-                        done.add(int(val))
-                    elif key == "hit":
-                        b, n, j = (int(x) for x in val.split(","))
-                        hits.setdefault(b, []).append((n, j))
-                except ValueError:
-                    raise CheckpointCorrupt(
-                        f"{self.path}:{lineno}: cannot parse {line!r}") from None
-        if version != "1":
-            raise CheckpointCorrupt(f"{self.path}: checkpoint version {version}, expected 1")
-        if digest != self.cfg.digest():
-            raise CheckpointMismatch(
-                f"{self.path} belongs to a different search configuration")
-        self.done = {b: sorted(hits.get(b, [])) for b in done}
-
-    def record(self, block: int, pairs: list[tuple[int, int]]) -> None:
-        self.done[block] = pairs
-        self._write()
-
-    def _write(self) -> None:
-        cfg = self.cfg
-        fd, tmp = tempfile.mkstemp(dir=str(self.path.parent or Path(".")),
-                                   prefix=self.path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write("# collatz-paradox search checkpoint\n")
-                fh.write("version=1\n")
-                fh.write(f"digest={cfg.digest()}\n")
-                fh.write(f"lo={cfg.lo}\nhi={cfg.hi}\n")
-                fh.write(f"formalism={cfg.formalism.value}\n")
-                fh.write(f"budget={cfg.budget}\nblock_size={cfg.block_size}\n")
-                for b in sorted(self.done):
-                    fh.write(f"done={b}\n")
-                for b in sorted(self.done):
-                    for n, j in self.done[b]:
-                        fh.write(f"hit={b},{n},{j}\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
+def _load_checkpoint(path: Path, cfg: SearchConfig) -> dict[int, list[tuple[int, int]]]:
+    """The finished blocks of a checkpoint (none if it does not exist), with
+    their sorted hit pairs."""
+    if not path.exists():
+        return {}
+    done: set[int] = set()
+    hits: dict[int, list[tuple[int, int]]] = {}
+    version = digest = None
+    with path.open() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition("=")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                if key == "version":
+                    version = val
+                elif key == "digest":
+                    digest = val
+                elif key == "done":
+                    done.add(int(val))
+                elif key == "hit":
+                    b, n, j = (int(x) for x in val.split(","))
+                    hits.setdefault(b, []).append((n, j))
+            except ValueError:
+                raise CheckpointCorrupt(f"{path}:{lineno}: cannot parse {line!r}") from None
+    if version != "1":
+        raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 1")
+    if digest != cfg.digest():
+        raise CheckpointMismatch(f"{path} belongs to a different search configuration")
+    return {b: sorted(hits.get(b, [])) for b in done}
+
+
+def _write_checkpoint(path: Path, cfg: SearchConfig,
+                      done: dict[int, list[tuple[int, int]]]) -> None:
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent or Path(".")),
+                               prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write("# collatz-paradox search checkpoint\n")
+            fh.write("version=1\n")
+            fh.write(f"digest={cfg.digest()}\n")
+            fh.write(f"lo={cfg.lo}\nhi={cfg.hi}\n")
+            fh.write(f"formalism={cfg.formalism.value}\n")
+            fh.write(f"budget={cfg.budget}\nblock_size={cfg.block_size}\n")
+            for b in sorted(done):
+                fh.write(f"done={b}\n")
+            for b in sorted(done):
+                for n, j in done[b]:
+                    fh.write(f"hit={b},{n},{j}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _scan_block_task(args: tuple[int, int, Formalism, int]) -> list[tuple[int, int]]:
@@ -187,20 +186,18 @@ def run_search(cfg: SearchConfig, threads: int = 1,
     if max_blocks is not None and max_blocks < 0:
         raise ValueError(f"max blocks must be >= 0, got {max_blocks}")
     blocks = cfg.blocks()
-    ckpt = None
-    done: dict[int, list[tuple[int, int]]] = {}
-    if checkpoint is not None:
-        ckpt = _Checkpoint(Path(checkpoint), cfg)
-        ckpt.load()
-        done = dict(ckpt.done)
+    path = None if checkpoint is None else Path(checkpoint)
+    done = {} if path is None else _load_checkpoint(path, cfg)
 
-    pending = [b for b in blocks if b[0] not in done]
+    # Blocks are made as they are taken, so max_blocks bounds how many exist.
+    pending = (b for b in blocks if b[0] not in done)
     if max_blocks is not None:
-        pending = pending[:max_blocks]
-
-    tasks = [(lo, hi, cfg.formalism, cfg.budget) for _, lo, hi in pending]
+        pending = itertools.islice(pending, max_blocks)
+    head = list(itertools.islice(pending, 2))
+    pending, queued = itertools.tee(itertools.chain(head, pending))
+    tasks = ((lo, hi, cfg.formalism, cfg.budget) for _, lo, hi in queued)
     with contextlib.ExitStack() as stack:
-        if threads == 1 or len(pending) <= 1:
+        if threads == 1 or len(head) <= 1:
             results = map(_scan_block_task, tasks)
         else:
             # Imported here, so that a serial run never loads multiprocessing.
@@ -208,21 +205,18 @@ def run_search(cfg: SearchConfig, threads: int = 1,
             import multiprocessing
             ctx = multiprocessing.get_context("fork")
             stack.enter_context(search.memo_shared_by_forks(ctx.Lock()))
-            # Executor.map cancels the blocks not yet started once one raises.
+            # Executor.map submits every task at once, and cancels the blocks
+            # not yet started once one raises.
             pool = stack.enter_context(
                 futures.ProcessPoolExecutor(max_workers=threads, mp_context=ctx))
             results = pool.map(_scan_block_task, tasks)
         for (idx, _, _), pairs in zip(pending, results):
             done[idx] = pairs
-            if ckpt is not None:
-                ckpt.record(idx, pairs)
+            if path is not None:
+                _write_checkpoint(path, cfg, done)
 
     complete = len(done) == len(blocks)
-    pairs: list[tuple[int, int]] = []
-    if complete:
-        for idx, _, _ in blocks:
-            pairs.extend(done[idx])
-        pairs.sort()
+    pairs = sorted(p for block in done.values() for p in block) if complete else []
     return SearchResult(cfg, complete, len(blocks), len(done), pairs)
 
 

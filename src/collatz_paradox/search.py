@@ -125,19 +125,17 @@ def delay(n: int, formalism: Formalism = Formalism.SHORTCUT,
     return j
 
 
-def max_excursion(n: int, formalism: Formalism = Formalism.SHORTCUT,
-                  budget: int = DEFAULT_BUDGET) -> int:
-    """Greatest iterate of the trajectory down to 1 (attained before the
-    trivial cycle for every start)."""
+def max_excursion(n: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Greatest iterate of the compressed-map trajectory down to 1 (attained
+    before the trivial cycle for every start)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    shortcut = formalism is Formalism.SHORTCUT
     cur = n
     best = n
     j = 0
     while cur != 1:
         if cur & 1:
-            cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+            cur = (3 * cur + 1) >> 1
             if cur > best:
                 best = cur
         else:

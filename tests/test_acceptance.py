@@ -101,8 +101,8 @@ def test_criterion_09_diophantine_values(board):
     _require(board.diophantine())
 
 
-def test_criterion_10_determinism(board, tmp_path):
-    _require(board.determinism(tmpdir=tmp_path))
+def test_criterion_10_determinism(board):
+    _require(board.determinism())
 
 
 def test_criterion_10b_kill_resume_across_processes(tmp_path):

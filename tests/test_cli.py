@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import signal
@@ -22,6 +23,21 @@ def test_parse_bound_forms():
     assert parse_bound("2.8e19") == 28 * 10**18
     with pytest.raises(Exception):
         parse_bound("1.5")
+
+
+def test_parse_bound_refuses_a_negative_exponent():
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_bound("2^-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--range", "3..100", "--budget", "2^-1"])
+    assert exc.value.code == 2
+
+
+def test_negative_decimals_are_refused_before_the_search(tmp_path):
+    out = tmp_path / "hits.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--range", "3..100", "--decimals", "-1", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
 
 
 def test_parse_range():
@@ -149,7 +165,31 @@ def test_bounds_subqueries(capsys):
     assert main(["bounds", "extremes", "8", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "211/256" in out and "211/32" in out
-    assert main(["bounds", "heuristic"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "heuristic"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["heuristic", "42", "3", "--refs", "x"],   # --refs belongs to chain alone
+    ["heuristic", "42", "x"],
+    ["rhin", "8"],
+    ["rhin", "8", "5.0"],
+    ["mean", "6", "7"],
+    ["convergents"],
+    ["extremes", "8", "five"],
+    ["shape"],
+])
+def test_bounds_argument_errors_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bounds_chain_reads_the_refs_directory(tmp_path, capsys):
+    assert main(["bounds", "chain", "--refs", str(tmp_path)]) == EXIT_FAIL
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_bounds_chain(capsys):

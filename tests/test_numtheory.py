@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from collatz_paradox import numtheory
 from collatz_paradox.dynamics import BudgetExhausted
 from collatz_paradox.numtheory import (ApproxPair, approx_pairs, convergents,
                                        divergent_to_paradox, heuristic_j_cap,
                                        heuristic_threshold_str, pair_in_s,
                                        partial_quotients, ratio_below_log2_log3,
                                        rhin_gap_ok)
+from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
 
 KNOWN_PREFIX = [(0, 1), (1, 1), (1, 2), (2, 3), (5, 8), (12, 19), (41, 65)]
 
@@ -114,6 +116,22 @@ def test_rhin_gap():
         rhin_gap_ok(1, 1)
 
 
+def test_rhin_gap_decided_at_the_second_precision(monkeypatch):
+    # j = 2^140 and q on either side of j log2/log3: at 128 bits the interval
+    # for j log2 - q log3 is about 2^12 wide and straddles 0; 256 bits decide.
+    j = 1 << 140
+    r_lo, r_hi = div_scaled(ln2_scaled(300), ln3_scaled(300), 300)
+    q = (j * r_lo) >> 300
+    assert q == (j * r_hi) >> 300   # q = floor(j log2/log3), certified
+    precs = []
+    monkeypatch.setattr(numtheory, "ln2_scaled",
+                        lambda prec: precs.append(prec) or ln2_scaled(prec))
+    for qq in (q, q + 1):
+        precs.clear()
+        assert rhin_gap_ok(j, qq)
+        assert precs == [128, 256]
+
+
 def test_heuristic_cap():
     assert heuristic_j_cap(42, 3) == 17396
     cap = heuristic_j_cap(37, "2.6")
@@ -131,4 +149,4 @@ def test_heuristic_cap_monotone_in_product():
 
 
 def test_threshold_constant_rendering():
-    assert heuristic_threshold_str(3) == "4.754"
+    assert heuristic_threshold_str() == "4.754"

@@ -138,7 +138,7 @@ def test_remainder_monotonicity_small():
 
 
 def test_remainder_monotonicity_cover_mode():
-    rep = check_remainder_monotonicity(12, pairwise_cap=4)
+    rep = check_remainder_monotonicity(12)
     assert rep.ok and rep.pairs_checked > 0
 
 
@@ -151,7 +151,7 @@ def test_remainder_monotonicity_classic_map():
         rep = check_remainder_monotonicity(j, Formalism.CLASSIC)
         assert rep.ok and rep.pairs_checked == pairs
     with pytest.raises(ValueError, match="contain 11"):
-        check_remainder_monotonicity(11, Formalism.CLASSIC, pairwise_cap=4)
+        check_remainder_monotonicity(11, Formalism.CLASSIC)
 
 
 def test_dot_export():

@@ -136,6 +136,43 @@ def test_pool_run_equals_a_serial_run(case, threads, formalism):
     assert hits_csv_text(pooled, timestamp=False) == hits_csv_text(serial, timestamp=False)
 
 
+def _blocks_as_listed(cfg):
+    # The (index, lo, hi) list that the runner once built up front
+    out, lo = [], cfg.lo
+    while lo <= cfg.hi:
+        out.append((len(out), lo, min(lo + cfg.block_size - 1, cfg.hi)))
+        lo += cfg.block_size
+    return out
+
+
+@given(case=_with_block_size(_ranges(3, 10**6, 500)))
+def test_blocks_are_computed_by_arithmetic(case):
+    lo, hi, block = case
+    cfg = SearchConfig(lo, hi, block_size=block)
+    listed = _blocks_as_listed(cfg)
+    assert list(cfg.blocks()) == listed and len(cfg.blocks()) == len(listed)
+    assert cfg.blocks()[-1] == listed[-1]
+    with pytest.raises(IndexError):
+        cfg.blocks()[len(listed)]
+
+
+_FEW_BLOCKS_OF_MANY = """
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from collatz_paradox.cli import main
+    print(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_max_blocks_bounds_the_blocks_made(threads):
+    # 10^12 blocks: listing them all would outgrow a 1 GiB address space
+    # long before the timeout, so only the blocks taken may be made.
+    out = _python(_FEW_BLOCKS_OF_MANY, "search", "--range", "3..10^15",
+                  "--block-size", "1000", "--max-blocks", "2", "--threads", threads)
+    assert out == "incomplete: 2/1000000000000 blocks done\n10\n"
+
+
 def _python(code: str, *args: str) -> str:
     # A fresh process, so that its memo starts empty; a hang fails the test.
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}

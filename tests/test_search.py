@@ -62,7 +62,6 @@ def test_classic_delay_decomposition():
 
 def test_max_excursion():
     assert max_excursion(27) == 4616
-    assert max_excursion(27, Formalism.CLASSIC) == 9232
     assert max_excursion(2**12) == 2**12
     assert max_excursion(1) == 1
 
