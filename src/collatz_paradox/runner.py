@@ -28,7 +28,6 @@ import os
 import tempfile
 import time
 from collections.abc import Sequence
-from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,6 +109,7 @@ def _load_checkpoint(path: Path, cfg: SearchConfig) -> dict[int, list[tuple[int,
         return {}
     done: set[int] = set()
     hits: dict[int, list[tuple[int, int]]] = {}
+    blocks: list[tuple[int, int]] = []   # (line, block index) of each done= and hit=
     version = digest = None
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -124,15 +124,22 @@ def _load_checkpoint(path: Path, cfg: SearchConfig) -> dict[int, list[tuple[int,
                     digest = val
                 elif key == "done":
                     done.add(int(val))
+                    blocks.append((lineno, int(val)))
                 elif key == "hit":
                     b, n, j = (int(x) for x in val.split(","))
                     hits.setdefault(b, []).append((n, j))
+                    blocks.append((lineno, b))
             except ValueError:
                 raise CheckpointCorrupt(f"{path}:{lineno}: cannot parse {line!r}") from None
     if version != "1":
         raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 1")
     if digest != cfg.digest():
         raise CheckpointMismatch(f"{path} belongs to a different search configuration")
+    count = len(cfg.blocks())
+    for lineno, b in blocks:
+        if not 0 <= b < count:
+            raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is not one of the "
+                                    f"{count} blocks of this search")
     return {b: sorted(hits.get(b, [])) for b in done}
 
 
@@ -200,9 +207,11 @@ def run_search(cfg: SearchConfig, threads: int = 1,
         if threads == 1 or len(head) <= 1:
             results = map(_scan_block_task, tasks)
         else:
-            # Imported here, so that a serial run never loads multiprocessing.
-            # The workers fork, so that they inherit the process memo.
+            # Imported here, so that a serial run loads neither module.  The
+            # workers fork, so that they inherit the process memo and the
+            # jump table.
             import multiprocessing
+            from concurrent import futures
             ctx = multiprocessing.get_context("fork")
             stack.enter_context(search.memo_shared_by_forks(ctx.Lock()))
             # Executor.map submits every task at once, and cancels the blocks

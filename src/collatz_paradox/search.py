@@ -31,7 +31,12 @@ problem on the positive integers", 1976): the first K steps of x = r mod 2**K
 are y_i = (3**q_i * x + c_i) / 2**i, so whether step i is a hit or the first
 descent is a linear test in x.  Starts inside the memo above their row's
 no-hit threshold jump their first K steps at once, and verify_cst walks only
-the starts whose stopping time the table does not already give (a sieve).
+the starts whose stopping time the table does not already give (a sieve),
+each from y_K.
+
+K = 12.  The table is built as a prefix tree over the residues, one step per
+level (see _build_jump_rows), in about 10 ms; a process builds it on first
+use, and a pool run builds it once, before its workers fork.
 """
 
 from __future__ import annotations
@@ -230,12 +235,15 @@ def _memo_for_range(n_lo: int, n_hi: int) -> tuple[memoryview, int]:
 def memo_shared_by_forks(lock) -> Iterator[None]:
     """Make the process memo now, so that every process forked inside the
     block shares it, and guard its growth there with lock, a lock that those
-    processes share too (a multiprocessing one).
+    processes share too (a multiprocessing one).  Build the jump table now
+    too, so that the forked processes inherit it and none builds its own:
+    one build per run, not one per worker.
 
     The lock in use before comes back at the end: a worker killed while it
     held lock would leave it held for good."""
     global _memo_lock
     _process_memo()
+    _jump_rows()
     saved, _memo_lock = _memo_lock, lock
     try:
         yield
@@ -243,25 +251,35 @@ def memo_shared_by_forks(lock) -> Iterator[None]:
         _memo_lock = saved
 
 
-JUMP_K = 8                       # steps per jump; 2**K rows
+JUMP_K = 12                      # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
 
 
 # A row is (a, c, dq, gmin, gmax, hmax, nmax_shortcut, nmax_classic, tau,
-# tau_thr); see _jump_rows.  The columns read by name:
+# tau_thr); see _build_jump_rows.  The columns read by name:
 _NMAX_SHORTCUT, _NMAX_CLASSIC, _TAU, _TAU_THR = 6, 7, 8, 9
-_jump_table: list[tuple] = []   # built on first use
+_jump_table: list[tuple] = []   # built on first use, or before a pool forks
 
 
 def _jump_rows() -> list[tuple]:
+    """The K-step table of _build_jump_rows, built once per process (or once
+    per run, by memo_shared_by_forks, before the pool workers fork)."""
+    if not _jump_table:
+        rows = _build_jump_rows()
+        with _tables_lock:
+            if not _jump_table:
+                _jump_table.extend(rows)
+    return _jump_table
+
+
+def _build_jump_rows() -> list[tuple]:
     """Row r < 2**K of the K-step table.  For every x = r mod 2**K,
     T**K(x) = (a*x + c) >> K with dq odd steps, and each iterate y_i
     (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
 
     After i steps y_i = (3**q_i * x + c_i) / 2**i, so y_i * 2**K = g_i*x + h_i
     with g_i = 3**q_i * 2**(K-i) and h_i = c_i * 2**(K-i) >= 0; the row keeps
-    their least and greatest g and the greatest h.  The parity of y_i (i < K)
-    depends on r only, so the walk of r itself fixes the row.
+    their least and greatest g and the greatest h.
 
     The other four columns are thresholds in x (R. Terras, "A stopping time
     problem on the positive integers", 1976).  With D = 2**i - 3**q_i > 0,
@@ -274,35 +292,53 @@ def _jump_rows() -> list[tuple]:
     and y_tau < x iff x > tau_thr = c_tau // (2**tau - 3**q_tau), so above
     tau_thr both stopping times of x equal tau.  Rows with no such i have
     tau = 0 and tau_thr = INFINITE.
+
+    The build is a prefix tree.  The parity of y_{i-1}, so step i, depends on
+    x mod 2**i only (y_{i-1} * 2**(i-1) = 3**q * x + c), so level i holds one
+    node per residue mod 2**i with the running columns of its first i steps,
+    and extends the node of r mod 2**(i-1) by one step: 2**(K+1) node updates
+    in all, not 2**K walks of K steps.  The powers of 3 and the g_i come from
+    one list per level, so equal values in the rows are one int.
     """
-    if not _jump_table:
-        rows = []
-        for r in range(1 << JUMP_K):
-            y, q, c = r, 0, 0
-            gs, hs = [], []
-            nmax_s = nmax_c = tau = 0
-            tau_thr = INFINITE
-            for i in range(1, JUMP_K + 1):
-                if y & 1:
-                    y = (3 * y + 1) >> 1
-                    c = 3 * c + (1 << (i - 1))
-                    q += 1
-                    if (1 << (i - 1)) > 3**q:
-                        nmax_c = max(nmax_c, c // ((1 << (i - 1)) - 3**q))
-                else:
-                    y >>= 1
-                gs.append(3**q << (JUMP_K - i))
-                hs.append(c << (JUMP_K - i))
-                if (1 << i) > 3**q:
-                    nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
-                    if not tau:
-                        tau, tau_thr = i, c // ((1 << i) - 3**q)
-            rows.append((3**q, c, q, min(gs), max(gs), max(hs),
-                         nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
-        with _tables_lock:
-            if not _jump_table:
-                _jump_table.extend(rows)
-    return _jump_table
+    k = JUMP_K
+    pow3 = [3**q for q in range(k + 1)]
+    # (q, c, gmin, gmax, hmax, nmax_shortcut, nmax_classic, tau, tau_thr)
+    level = [(0, 0, INFINITE, 0, 0, 0, 0, 0, INFINITE)]
+    for i in range(1, k + 1):
+        half = 1 << (i - 1)
+        shift = k - i
+        g = [p << shift for p in pow3]
+        d = [(1 << i) - p for p in pow3]       # the D of a shortcut hit at step i
+        d_classic = [half - p for p in pow3]   # and of the classic 3x + 1 before it
+        nodes = []
+        for r in range(1 << i):
+            q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr = level[r & (half - 1)]
+            if (pow3[q] * r + c) >> (i - 1) & 1:
+                q += 1
+                c = 3 * c + half
+                if d_classic[q] > 0:
+                    v = c // d_classic[q]
+                    if v > nmax_c:
+                        nmax_c = v
+            # plain comparisons: twice as fast as min() and max() here
+            if g[q] < gmin:
+                gmin = g[q]
+            if g[q] > gmax:
+                gmax = g[q]
+            if c << shift > hmax:
+                hmax = c << shift
+            if d[q] > 0:
+                v = c // d[q]
+                if v > nmax_s:
+                    nmax_s = v
+                if v > nmax_c:
+                    nmax_c = v
+                if not tau:
+                    tau, tau_thr = i, v
+            nodes.append((q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr))
+        level = nodes
+    return [(pow3[q], c, q, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr)
+            for q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr in level]
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +406,18 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
 
     Where a halving lands on lim <= cur < n, which happens only beyond the
     memo, the walk takes K-step jumps (K = JUMP_K) while the row bounds of
-    _jump_rows() put every iterate inside the jump in [lim, thr).  Such an
+    _build_jump_rows put every iterate inside the jump in [lim, thr).  Such an
     iterate is no hit, nor is its 3x + 1, and it cannot end the walk, so the
     jump is exact.
 
     A start n inside the memo with n > nmax (the row's no-hit threshold for
-    this map, see _jump_rows) and a budget >= 2K jumps its first K steps
-    straight to y_K, with q = dq and e = K: none of those steps is a hit.  It
-    ends there if y_K < n and memo[y_K] < thr, and otherwise walks on from
-    y_K.  Skipping an exit inside the jump is exact: if a halving onto
-    y_i < n (i < K) had memo[y_i] < thr, then y_K <= memo[y_i] < thr <= n and
-    memo[y_K] <= memo[y_i], so the walk ends at y_K.  Conversely, if the walk
+    this map, see _build_jump_rows) and a budget >= 2K (24 at K = 12) jumps
+    its first K steps straight to y_K, with q = dq and e = K: none of those
+    steps is a hit.  It ends there if y_K < n and memo[y_K] < thr, and
+    otherwise walks on from y_K.  Skipping an exit inside the jump is exact:
+    if a halving onto y_i < n (i < K) had memo[y_i] < thr, then
+    y_K <= memo[y_i] < thr <= n and memo[y_K] <= memo[y_i], so the walk ends
+    at y_K.  Conversely, if the walk
     ends at y_K, it had a valid exit at its last halving i <= K, since the
     odd steps after it rise to y_K (memo[y_i] = memo[y_K]).  So the walk
     either ended within 2K <= budget steps on both paths, or reaches y_K in
@@ -532,9 +569,15 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     a row without tau or with tau > budget, are walked, each residue class as
     a range with step 2**K, merged in ascending order; the counterexamples,
     max_gap and the first BudgetExhausted are those of walking every start.
-    checked counts every start.  At K = 8, 19 of the 256 rows have no tau,
+    checked counts every start.  At K = 12, 226 of the 4096 rows have no tau,
     and no start >= 2 lies at or below its row's tau_thr (it would be a
-    counterexample), so at budgets >= 8 about 7.4% of the starts are walked.
+    counterexample), so at budgets >= 12 about 5.5% of the starts are walked.
+
+    A start of a row without tau begins its walk at y_K, K steps in, with
+    q = dq: its first K steps neither descend (each y_i > n, as
+    3**q_i > 2**i) nor drop the coefficient below 1.  So at a budget >= K the
+    walk goes on from y_K exactly as from n, and at a budget < K the start
+    exceeds the budget either way, with the same error.
     """
     if lo < 2:
         raise ValueError("range must start at 2 (the start 1 never descends)")
@@ -545,17 +588,24 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     bad: list[tuple[int, int, int]] = []
     max_gap = 0
     period = 1 << JUMP_K
+    rows = _jump_rows()
     classes = []
-    for r, row in enumerate(_jump_rows()):
+    for r, row in enumerate(rows):
         first = lo + (r - lo) % period
         # tau_thr is INFINITE where the row has no tau
         top = hi if row[_TAU] > budget else min(hi, row[_TAU_THR])
         if first <= top:
             classes.append(range(first, top + 1, period))
     for n in heapq.merge(*classes):
-        cur = n
-        q = 0
-        j = 0
+        row = rows[n & _JUMP_MASK]
+        if row[_TAU]:
+            cur = n
+            q = 0
+            j = 0
+        else:
+            cur = (row[0] * n + row[1]) >> JUMP_K
+            q = row[2]
+            j = JUMP_K
         tau = 0
         while cur >= n:
             if cur & 1:

@@ -264,6 +264,22 @@ def test_records_command_scans_once(monkeypatch, capsys):
     assert "reference cross-check ok" in captured.err
 
 
+def test_a_serial_search_loads_no_pool_module(tmp_path):
+    # A fresh process: the pool modules cost memory and import time that a
+    # serial run never uses.
+    code = "\n".join([
+        "import sys",
+        "from collatz_paradox.cli import main",
+        "assert main(sys.argv[1:]) == 0",
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)",
+        "assert not loaded, loaded",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, "search", "--range", "3..5000",
+                    "--threads", "1", "--out", str(tmp_path / "hits.csv")],
+                   env=env, check=True, capture_output=True, timeout=60)
+
+
 def test_ctrl_c_leaves_a_resumable_checkpoint(tmp_path):
     ck = tmp_path / "ck.txt"
     args = ["search", "--range", "3..300000", "--formalism", "classic",

@@ -75,6 +75,19 @@ def test_garbled_checkpoint_line_names_file_and_line(tmp_path, garbled):
         run_search(cfg, checkpoint=ck)
 
 
+@pytest.mark.parametrize("line", ["done=42", "done=-1", "hit=10,5,8"])
+def test_checkpoint_block_outside_the_search_names_file_and_line(tmp_path, line):
+    # 10 blocks, cut after 9: an index past the count once resumed to
+    # "11/10 blocks done" and exit 10 on every run after.
+    cfg = SearchConfig(3, 10**5, block_size=10000)
+    ck = tmp_path / "ck.txt"
+    assert not run_search(cfg, checkpoint=ck, max_blocks=9).complete
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines + [line]) + "\n")
+    with pytest.raises(CheckpointCorrupt, match=f"{ck}:{len(lines) + 1}: block "):
+        run_search(cfg, checkpoint=ck)
+
+
 def test_cli_reports_a_corrupt_checkpoint(tmp_path, capsys):
     cfg, ck = _partial_checkpoint(tmp_path)
     ck.write_text(ck.read_text() + "done=x\n")
@@ -220,6 +233,33 @@ def test_serial_and_pool_runs_share_the_memo_in_either_order(tmp_path):
         fills = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
         assert fills[0][0] == 0 and fills[-1][1] == 90001, (order, fills)
         assert all(a[1] == b[0] for a, b in zip(fills, fills[1:])), (order, fills)
+
+
+_TABLE_BUILDS = """
+    import os, sys
+    from collatz_paradox import runner, search
+
+    real_build = search._build_jump_rows
+
+    def logged_build():   # pool workers inherit the patch by fork
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+        return real_build()
+
+    search._build_jump_rows = logged_build
+    cfg = runner.SearchConfig(3, 40000, block_size=4096)
+    res = runner.run_search(cfg, threads=2)
+    print(os.getpid(), runner.hits_csv_text(res, timestamp=False), end="")
+"""
+
+
+def test_a_pool_run_builds_the_jump_table_once_before_the_fork(tmp_path):
+    # The start jumps of every block read the table, so a worker without it
+    # would build its own.
+    log = tmp_path / "builds.log"
+    pid, _, csv = _python(_TABLE_BUILDS, str(log)).partition(" ")
+    assert log.read_text().split() == [pid]
+    assert csv == hits_csv_text(run_search(SearchConfig(3, 40000)), timestamp=False)
 
 
 _DEAD_WORKER = """

@@ -181,6 +181,42 @@ def _compressed_steps(x: int, k: int) -> tuple[list[int], int]:
     return ys, q
 
 
+def _jump_rows_by_walks(k: int) -> list[tuple]:
+    # The table as it was first built: every row by its own K-step walk of r.
+    rows = []
+    for r in range(1 << k):
+        y, q, c = r, 0, 0
+        gs, hs = [], []
+        nmax_s = nmax_c = tau = 0
+        tau_thr = INFINITE
+        for i in range(1, k + 1):
+            if y & 1:
+                y = (3 * y + 1) >> 1
+                c = 3 * c + (1 << (i - 1))
+                q += 1
+                if (1 << (i - 1)) > 3**q:
+                    nmax_c = max(nmax_c, c // ((1 << (i - 1)) - 3**q))
+            else:
+                y >>= 1
+            gs.append(3**q << (k - i))
+            hs.append(c << (k - i))
+            if (1 << i) > 3**q:
+                nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
+                if not tau:
+                    tau, tau_thr = i, c // ((1 << i) - 3**q)
+        rows.append((3**q, c, q, min(gs), max(gs), max(hs),
+                     nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
+    return rows
+
+
+def test_prefix_tree_build_equals_one_walk_per_row():
+    assert search._jump_rows() == _jump_rows_by_walks(search.JUMP_K)
+    for k in (1, 2, 3, 8):   # the tree at other depths
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "JUMP_K", k)
+            assert search._build_jump_rows() == _jump_rows_by_walks(k), k
+
+
 def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
     k = search.JUMP_K
     rows = search._jump_rows()
