@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Trajectory, trajectory
+from .dynamics import Trajectory, residue_forms, trajectory
 from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
 # ---------------------------------------------------------------------------
@@ -74,22 +74,18 @@ def remainder_bounds(j: int, q: int) -> RemainderBounds:
 
 def mean_remainder(j: int) -> Fraction:
     """Arithmetic mean of the compressed-map remainders over one full period
-    n = 1..2**j."""
+    n = 1..2**j.
+
+    Every residue's remainder numerator c (E = c / 2**j) is added; the forms
+    come from `residue_forms`, a prefix tree over the residues that takes
+    about 2**(j+1) node updates and holds about 2**10 nodes at once.  No
+    recurrence on the sums is used: the j/4 claim is what this checks.
+    """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > 22:
         raise ValueError("j > 22 enumerates too many residues")
-    total_num = 0   # common denominator 2**(2j): per-residue E = num / 2**j
-    for n in range(1, (1 << j) + 1):
-        cur = n
-        num = 0
-        for e in range(j):   # e halvings so far: one per compressed step
-            if cur & 1:
-                num = 3 * num + (1 << e)
-                cur = (3 * cur + 1) >> 1
-            else:
-                cur >>= 1
-        total_num += num
+    total_num = sum(c for _, _, c in residue_forms(j))   # over 2**(2j)
     return Fraction(total_num, 1 << (2 * j))
 
 

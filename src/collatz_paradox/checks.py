@@ -19,7 +19,7 @@ from . import bounds as B
 from . import numtheory as NT
 from . import poset as P
 from .census import census
-from .dynamics import Formalism, trajectory
+from .dynamics import Formalism, residue_forms, trajectory
 from .records import (RecordKind, RecordTable, ingest_reference_records, reference_path,
                       theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
@@ -173,21 +173,23 @@ class Scoreboard:
                            f"pairs={sum(r.pairs_checked for r in reports)}")
 
     def property_extremal(self) -> CheckResult:
+        # E = c / 2**j against each bound a/b, cross-multiplied: c*b vs a << j
         bad = 0
         for j in range(1, 15):
-            per_q = {q: B.remainder_bounds(j, q) for q in range(j + 1)}
-            for n in range(1, (1 << j) + 1):
-                t = trajectory(n, j)
-                q = t.q
-                rb = per_q[q]
-                e = t.remainder()
-                if not (rb.lower <= e <= rb.upper):
+            per_q = {}
+            for q in range(j + 1):
+                rb = B.remainder_bounds(j, q)
+                per_q[q] = (rb.lower.numerator << j, rb.lower.denominator,
+                            rb.upper.numerator << j, rb.upper.denominator,
+                            rb.lower_class, rb.upper_class)
+            for r, q, c in residue_forms(j):
+                lo_num, lo_den, up_num, up_den, lower_class, upper_class = per_q[q]
+                if not (lo_num <= c * lo_den and c * up_den <= up_num):
                     bad += 1
                     continue
-                res = n % (1 << j)
-                if (e == rb.upper) != (res == rb.upper_class):
+                if (c * up_den == up_num) != (r == upper_class):
                     bad += 1
-                if (e == rb.lower) != (res == rb.lower_class):
+                if (c * lo_den == lo_num) != (r == lower_class):
                     bad += 1
         return CheckResult("extremal remainders and their residue classes, j <= 14",
                            bad == 0, f"violations={bad}")

@@ -10,6 +10,7 @@ diagram for one (length, weight) class.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -32,27 +33,17 @@ def compare(v: ParityVector, w: ParityVector) -> PosetRelation:
 
     Words of different length or different weight are never comparable.
     Otherwise v precedes w exactly when every proper prefix sum of v is <=
-    the corresponding prefix sum of w.
+    the corresponding prefix sum of w.  The prefix sums are the ones each
+    `ParityVector` computes once, when it is made.
     """
-    if len(v) != len(w) or v.q != w.q:
+    if v.q != w.q or len(v.bits) != len(w.bits):
         return PosetRelation.INCOMPARABLE
     if v.bits == w.bits:
         return PosetRelation.EQUAL
-    le = True   # v could precede w
-    ge = True   # w could precede v
-    a = b = 0
-    for x, y in zip(v.bits[:-1], w.bits[:-1]):
-        a += x
-        b += y
-        if a > b:
-            le = False
-        elif a < b:
-            ge = False
-        if not le and not ge:
-            return PosetRelation.INCOMPARABLE
-    if le:
+    a, b = v.prefix, w.prefix
+    if all(map(operator.le, a, b)):
         return PosetRelation.LESS
-    if ge:
+    if all(map(operator.ge, a, b)):
         return PosetRelation.GREATER
     return PosetRelation.INCOMPARABLE
 

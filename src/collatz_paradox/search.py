@@ -507,31 +507,30 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
 
 def naive_paradoxes(n_lo: int, n_hi: int, j_max: int,
                     formalism: Formalism = Formalism.SHORTCUT) -> list[tuple[int, int]]:
-    """Brute-force oracle: for every n and every j <= j_max, recompute the
-    trajectory from scratch and test both conditions with freshly computed
-    powers.  No pruning, no incremental state; only the stop-at-1 domain
-    convention is shared with the fast path."""
+    """Brute-force oracle: walk every n once, up to j_max steps of the given
+    map (plain 3x+1 steps on the classic one), and after each step test both
+    conditions with freshly computed powers.  No memo, no jump table, no
+    pruning and no exit but the stop-at-1 domain convention (a walk ends
+    before a step from 1), so it shares nothing with the fast path."""
+    shortcut = formalism is Formalism.SHORTCUT
     out = []
     for n in range(n_lo, n_hi + 1):
+        cur = n
+        q = 0
+        e = 0
         for j in range(1, j_max + 1):
-            cur = n
-            q = 0
-            e = 0
-            reached_one = False
-            for _ in range(j):
-                if cur == 1:
-                    reached_one = True
-                    break
-                if cur % 2 == 1:
-                    q += 1
-                    cur = (3 * cur + 1) // 2 if formalism is Formalism.SHORTCUT else 3 * cur + 1
-                    if formalism is Formalism.SHORTCUT:
-                        e += 1
-                else:
-                    cur = cur // 2
-                    e += 1
-            if reached_one:
+            if cur == 1:
                 break
+            if cur % 2 == 1:
+                q += 1
+                if shortcut:
+                    cur = (3 * cur + 1) // 2
+                    e += 1
+                else:
+                    cur = 3 * cur + 1
+            else:
+                cur = cur // 2
+                e += 1
             if 3**q < 2**e and cur >= n:
                 out.append((n, j))
     return out

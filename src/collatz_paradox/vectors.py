@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 
 class ParityVector:
-    """Immutable 0/1 word of length >= 1 with a cached ones-count."""
+    """Immutable 0/1 word of length >= 1 with a cached ones-count and cached
+    proper prefix sums (`prefix[i]` is the number of ones among the first
+    i + 1 bits, for i < len - 1), so that `poset.compare` builds none."""
 
-    __slots__ = ("bits", "q")
+    __slots__ = ("bits", "q", "prefix")
 
     def __init__(self, bits):
         bits = tuple(int(b) for b in bits)
@@ -16,6 +20,7 @@ class ParityVector:
             raise ValueError("parity vector bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "q", sum(bits))
+        object.__setattr__(self, "prefix", tuple(accumulate(bits[:-1])))
 
     def __setattr__(self, *a):
         raise AttributeError("ParityVector is immutable")

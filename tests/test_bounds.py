@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,37 @@ def test_mean_remainder():
     assert mean_remainder(12) == 3
     with pytest.raises(ValueError):
         mean_remainder(23)
+
+
+def _mean_remainder_by_walks(j: int) -> Fraction:
+    # one compressed-map walk of j steps per n = 1..2**j
+    total_num = 0
+    for n in range(1, (1 << j) + 1):
+        cur = n
+        num = 0
+        for e in range(j):
+            if cur & 1:
+                num = 3 * num + (1 << e)
+                cur = (3 * cur + 1) >> 1
+            else:
+                cur >>= 1
+        total_num += num
+    return Fraction(total_num, 1 << (2 * j))
+
+
+def test_mean_remainder_equals_one_walk_per_residue():
+    for j in range(1, 15):
+        assert mean_remainder(j) == _mean_remainder_by_walks(j), j
+
+
+def test_mean_remainder_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        assert mean_remainder(18) == Fraction(18, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_paradox_witness_published_examples():

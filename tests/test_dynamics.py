@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from collatz_paradox.dynamics import BudgetExhausted, Formalism, step, trajectory
+from collatz_paradox.dynamics import (BudgetExhausted, Formalism, residue_forms, step,
+                                      trajectory)
 
 
 def parity_vector(n, j, formalism=Formalism.SHORTCUT):
@@ -142,3 +143,15 @@ def test_trajectory_argument_validation():
 def test_budget_exception_fields():
     exc = BudgetExhausted(27, 10)
     assert exc.n == 27 and exc.budget == 10
+
+
+def test_residue_forms_equal_the_trajectories_of_one_period():
+    # 2**10 leaves per slab: j = 11 and 12 also cover the subtree expansion
+    for j in range(0, 13):
+        forms = sorted(residue_forms(j))
+        assert [r for r, _, _ in forms] == list(range(1 << j)), j
+        for n in range(1, (1 << j) + 1):
+            t = trajectory(n, j)
+            assert forms[n % (1 << j)] == (n % (1 << j), t.q, t.e_num), (n, j)
+    with pytest.raises(ValueError):
+        residue_forms(-1)

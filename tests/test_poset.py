@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -40,6 +40,35 @@ def test_compare_published_examples():
     assert compare(V("01110"), V("11001")) is PosetRelation.INCOMPARABLE
     assert compare(V("01110"), V("10011")) is PosetRelation.INCOMPARABLE
     assert compare(V("0110"), V("0110")) is PosetRelation.EQUAL
+
+
+def _compare_by_walk(v: ParityVector, w: ParityVector) -> PosetRelation:
+    # running prefix sums of both words, built on every call
+    if len(v) != len(w) or v.q != w.q:
+        return PosetRelation.INCOMPARABLE
+    if v.bits == w.bits:
+        return PosetRelation.EQUAL
+    le = ge = True
+    a = b = 0
+    for x, y in zip(v.bits[:-1], w.bits[:-1]):
+        a += x
+        b += y
+        if a > b:
+            le = False
+        elif a < b:
+            ge = False
+    if le:
+        return PosetRelation.LESS
+    if ge:
+        return PosetRelation.GREATER
+    return PosetRelation.INCOMPARABLE
+
+
+def test_compare_equals_the_prefix_sum_walk():
+    words = [ParityVector(bits) for j in range(1, 9) for bits in product((0, 1), repeat=j)]
+    for v in words:
+        for w in words:
+            assert compare(v, w) is _compare_by_walk(v, w), (v, w)
 
 
 def test_compare_rejects_mismatched_shapes():

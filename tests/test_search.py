@@ -108,6 +108,68 @@ def test_naive_oracle_equivalence_small():
         assert naive == fast
 
 
+def _naive_paradoxes_from_scratch(n_lo, n_hi, j_max, formalism):
+    # The oracle's definition: every (n, j) recomputed from n, O(N * j_max**2)
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        for j in range(1, j_max + 1):
+            cur = n
+            q = 0
+            e = 0
+            reached_one = False
+            for _ in range(j):
+                if cur == 1:
+                    reached_one = True
+                    break
+                if cur % 2 == 1:
+                    q += 1
+                    cur = (3 * cur + 1) // 2 if formalism is Formalism.SHORTCUT else 3 * cur + 1
+                    if formalism is Formalism.SHORTCUT:
+                        e += 1
+                else:
+                    cur = cur // 2
+                    e += 1
+            if reached_one:
+                break
+            if 3**q < 2**e and cur >= n:
+                out.append((n, j))
+    return out
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_one_walk_oracle_equals_the_from_scratch_definition(formalism):
+    want = _naive_paradoxes_from_scratch(3, 2000, 100, formalism)
+    assert len(want) > 100
+    assert naive_paradoxes(3, 2000, 100, formalism) == want
+    for lo, hi, j_max in ((1, 40, 30), (27, 27, 200), (7, 9, 8)):
+        assert naive_paradoxes(lo, hi, j_max, formalism) == _naive_paradoxes_from_scratch(
+            lo, hi, j_max, formalism)
+
+
+HIT_REGION = (3, 9229)   # every paradox of either map starts in here
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_scan_matches_naive_oracle_on_the_hit_region(formalism):
+    lo, hi = HIT_REGION
+    j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
+    assert scan_paradoxes(lo, hi, formalism) == naive_paradoxes(lo, hi, j_max, formalism)
+
+
+def test_shortcut_hits_are_the_classic_hits_after_a_halving():
+    # A classic iterate right after a halving is the compressed iterate whose
+    # index is the halving count, with the same q and e, so the same test.
+    classic = scan_paradoxes(3, 10**4, Formalism.CLASSIC)
+    mapped = []
+    for n, j in classic:
+        t = trajectory(n, j, Formalism.CLASSIC)
+        if t.iterates[-2] % 2 == 0:
+            mapped.append((n, t.e))
+    shortcut = scan_paradoxes(3, 10**4, Formalism.SHORTCUT)
+    assert len(shortcut) < len(classic)
+    assert mapped == shortcut
+
+
 def _windows(lo: int, hi: int, width: int = 8):
     return st.tuples(st.integers(lo, hi), st.integers(0, width)).map(
         lambda t: (t[0], t[0] + t[1]))
