@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Formalism, trajectory
+from .dynamics import Formalism, step
 from .search import ParadoxHit
 
 
@@ -98,7 +98,13 @@ def census(hits: list[ParadoxHit]) -> tuple[list[CensusRow], CensusSummary]:
 
 
 def _passes_through(hit: ParadoxHit, value: int) -> bool:
-    return value in trajectory(hit.n, hit.j, hit.formalism).iterates
+    """Whether value is one of the hit's j + 1 iterates, walked step by step."""
+    cur = hit.n
+    for _ in range(hit.j):
+        if cur == value:
+            return True
+        cur = step(cur, hit.formalism)
+    return cur == value
 
 
 def _decimal(x: Fraction, places: int) -> str:

@@ -296,21 +296,24 @@ class Scoreboard:
 
 
 def _closure_equals_compare(j: int) -> bool:
-    """Reachability in the cover graph vs the prefix-sum criterion."""
+    """Reachability in the cover graph vs the prefix-sum criterion.
+
+    Reachability is a bitmask per node, built in one pass from the last node
+    down: reach[i] is the OR of 1 << s | reach[s] over the successors s.  That
+    needs every edge to rise in node order (`hasse` sorts the nodes
+    lexicographically and a 01 -> 10 swap rises in that order); a diagram
+    with an edge that does not rise fails, never passing on a partial closure.
+    """
     for q in range(j + 1):
         diagram = P.hasse(j, q)
-        nodes = diagram.nodes
+        if any(b <= a for a, b in diagram.edges):
+            return False
         succ = diagram.successors()
-        for i, v in enumerate(nodes):
-            reach = set()
-            stack = list(succ[i])
-            while stack:
-                k = stack.pop()
-                if k not in reach:
-                    reach.add(k)
-                    stack.extend(succ[k])
-            for k, w in enumerate(nodes):
-                rel = P.compare(v, w)
-                if (rel is P.PosetRelation.LESS) != (k in reach):
-                    return False
+        ups = P.up_sets(diagram.nodes)
+        reach = [0] * len(diagram.nodes)
+        for i in range(len(diagram.nodes) - 1, -1, -1):
+            for s in succ[i]:
+                reach[i] |= 1 << s | reach[s]
+            if reach[i] != ups[i] & ~(1 << i):
+                return False
     return True

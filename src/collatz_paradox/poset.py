@@ -4,7 +4,9 @@ The generating relation swaps one adjacent "01" into "10"; its transitive
 closure coincides with prefix-sum dominance between words of equal length and
 equal weight.  Both views are implemented: `compare` decides the order via
 prefix sums, `covers` yields the generator edges, and `hasse` materializes the
-diagram for one (length, weight) class.
+diagram for one (length, weight) class.  `up_sets` gives every member's whole
+up-set in one class as an int bitmask, which the pairwise checks read instead
+of calling `compare` once per pair.
 """
 
 from __future__ import annotations
@@ -57,6 +59,32 @@ def covers(v: ParityVector) -> set[ParityVector]:
             swapped = bits[:i] + (1, 0) + bits[i + 2:]
             out.add(ParityVector(swapped))
     return out
+
+
+def up_sets(vectors: list[ParityVector]) -> list[int]:
+    """Up-set of every member of one (length, weight) class, as a bitmask.
+
+    Bit k of the i-th mask is set exactly when vectors[i] precedes or equals
+    vectors[k] (`compare` gives LESS or EQUAL): every proper prefix sum of
+    vectors[i] is <= that of vectors[k].  For each prefix position one mask
+    per value s holds the members whose sum there is >= s (a suffix OR over
+    s); an up-set is the AND of its member's masks over the positions.  That
+    is about N * j big-int ANDs for N members, not N**2 `compare` calls.
+    """
+    if not vectors:
+        return []
+    j, q = len(vectors[0]), vectors[0].q
+    if any(len(v) != j or v.q != q for v in vectors):
+        raise ValueError("up_sets needs vectors of one length and one weight")
+    ups = [(1 << len(vectors)) - 1] * len(vectors)
+    for column in zip(*(v.prefix for v in vectors)):
+        at_least = [0] * (q + 2)
+        for k, s in enumerate(column):
+            at_least[s] |= 1 << k
+        for s in range(q, -1, -1):
+            at_least[s] |= at_least[s + 1]
+        ups = [u & at_least[s] for u, s in zip(ups, column)]
+    return ups
 
 
 def all_vectors(j: int, q: int) -> list[ParityVector]:
@@ -137,7 +165,10 @@ def check_remainder_monotonicity(j: int,
     """Strictly preceding parity vectors must have strictly larger remainders.
 
     Brute force over all residues mod 2**j.  Up to PAIRWISE_J_MAX every
-    comparable pair is tested; beyond it only cover pairs are (which imply the
+    comparable pair is tested, read from the `up_sets` of each weight class
+    and a mask of the members whose remainder numerator is not smaller; the
+    violations come out in the order of a nested loop over the members.
+    Beyond it only cover pairs are tested (which imply the
     full statement by transitivity, keeping larger j affordable).  Cover mode
     needs the shortcut map: a cover of a classic parity vector may contain 11,
     which no classic trajectory realises (an odd classic iterate is always
@@ -166,12 +197,22 @@ def check_remainder_monotonicity(j: int,
         for v, (n, num) in by_vector.items():
             by_weight.setdefault(v.q, []).append((v, n, num))
         for members in by_weight.values():
-            for va, m, num_m in members:
-                for vb, n, num_n in members:
-                    if compare(va, vb) is PosetRelation.LESS:
-                        checked += 1
-                        if not num_m > num_n:
-                            violations.append((m, n))
+            ups = up_sets([v for v, _, _ in members])
+            # at_least[num]: the members whose numerator is >= num
+            at_least: dict[int, int] = {}
+            for k, (_, _, num) in enumerate(members):
+                at_least[num] = at_least.get(num, 0) | 1 << k
+            mask = 0
+            for num in sorted(at_least, reverse=True):
+                mask = at_least[num] = mask | at_least[num]
+            for k, (_, m, num) in enumerate(members):
+                strict = ups[k] & ~(1 << k)
+                checked += strict.bit_count()
+                bad = strict & at_least[num]
+                while bad:   # ascending member order, as a pair loop would give
+                    low = bad & -bad
+                    violations.append((m, members[low.bit_length() - 1][1]))
+                    bad ^= low
     else:
         for v, (m, num_m) in by_vector.items():
             for w in covers(v):

@@ -1,11 +1,14 @@
+import dataclasses
 from itertools import combinations, product
 
 import pytest
 
-from collatz_paradox.dynamics import Formalism
-from collatz_paradox.poset import (HASSE_DEFAULT_CAP, PosetRelation, all_vectors,
-                                   check_remainder_monotonicity, compare, covers,
-                                   hasse)
+from collatz_paradox import checks, poset
+from collatz_paradox.dynamics import Formalism, trajectory
+from collatz_paradox.poset import (HASSE_DEFAULT_CAP, HasseDiagram, MonotonicityReport,
+                                   PosetRelation, all_vectors,
+                                   check_remainder_monotonicity, compare, covers, hasse,
+                                   up_sets)
 from collatz_paradox.vectors import ParityVector
 
 
@@ -69,6 +72,35 @@ def test_compare_equals_the_prefix_sum_walk():
     for v in words:
         for w in words:
             assert compare(v, w) is _compare_by_walk(v, w), (v, w)
+
+
+def _assert_up_sets_equal_compare(nodes):
+    ups = up_sets(nodes)
+    assert len(ups) == len(nodes)
+    for i, v in enumerate(nodes):
+        for k, w in enumerate(nodes):
+            below = compare(v, w) in (PosetRelation.LESS, PosetRelation.EQUAL)
+            assert bool(ups[i] >> k & 1) is below, (v, w)
+
+
+def test_up_sets_equal_compare_on_every_pair():
+    for j in range(1, 9):
+        for q in range(j + 1):
+            _assert_up_sets_equal_compare(all_vectors(j, q))
+
+
+def test_up_sets_do_not_lean_on_lexicographic_order():
+    # the classic-realisable words (no 11), in an order that is not lexicographic
+    for j in range(2, 9):
+        for q in range(j + 1):
+            nodes = [v for v in all_vectors(j, q) if "11" not in word(v)]
+            _assert_up_sets_equal_compare(nodes[1::2] + nodes[::-2])
+
+
+def test_up_sets_edge_cases():
+    assert up_sets([]) == []
+    with pytest.raises(ValueError, match="one length and one weight"):
+        up_sets([V("01"), V("11")])
 
 
 def test_compare_rejects_mismatched_shapes():
@@ -164,6 +196,85 @@ def test_remainder_monotonicity_small():
         rep = check_remainder_monotonicity(j)
         assert rep.ok
     assert check_remainder_monotonicity(1).pairs_checked == 0
+
+
+def _monotonicity_by_compare(j, formalism):
+    # one compare call per ordered pair of one weight, in member order
+    by_vector = {}
+    for n in range(1, 2**j + 1):
+        t = poset.trajectory(n, j, formalism)
+        by_vector[t.parity_vector()] = (n, t.e_num)
+    by_weight = {}
+    for v, (n, num) in by_vector.items():
+        by_weight.setdefault(v.q, []).append((v, n, num))
+    checked = 0
+    violations = []
+    for members in by_weight.values():
+        for va, m, num_m in members:
+            for vb, n, num_n in members:
+                if compare(va, vb) is PosetRelation.LESS:
+                    checked += 1
+                    if not num_m > num_n:
+                        violations.append((m, n))
+    return MonotonicityReport(j, checked, violations)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_monotonicity_report_equals_the_pair_loop(formalism):
+    for j in range(1, 11):
+        fast = check_remainder_monotonicity(j, formalism)
+        slow = _monotonicity_by_compare(j, formalism)
+        assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
+        assert fast.ok
+
+
+def test_monotonicity_shortcut_pair_counts():
+    counts = [check_remainder_monotonicity(j).pairs_checked for j in range(1, 11)]
+    assert counts == [0, 1, 6, 26, 100, 365, 1302, 4606, 16284, 57762]
+    assert sum(counts) == 80452
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_monotonicity_violations_are_listed_like_the_pair_loop(monkeypatch, formalism):
+    # a wrong remainder numerator on every fourth residue, tied on all of
+    # them, so that both implementations must enumerate violations
+    def bent(n, j, f):
+        t = trajectory(n, j, f)
+        return dataclasses.replace(t, e_num=0) if n % 4 == 0 else t
+
+    monkeypatch.setattr(poset, "trajectory", bent)
+    for j in (5, 6, 8):
+        fast = check_remainder_monotonicity(j, formalism)
+        slow = _monotonicity_by_compare(j, formalism)
+        assert fast.violations
+        assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
+
+
+def test_closure_check_fails_without_one_cover(monkeypatch):
+    real = poset.covers
+    dropped = V("010101")
+
+    def fewer(v):
+        out = real(v)
+        if v == dropped:
+            out.discard(V("011001"))
+        return out
+
+    assert V("011001") in real(dropped)
+    monkeypatch.setattr(poset, "covers", fewer)
+    assert not checks._closure_equals_compare(6)
+    assert checks._closure_equals_compare(5)
+
+
+def test_closure_check_fails_on_an_edge_that_does_not_rise(monkeypatch):
+    # the true covers 001 -> 010 -> 100, the second against node order: its
+    # closure is right, but the one-pass reach cannot rely on it
+    built = HasseDiagram(3, 1, [V("100"), V("001"), V("010")], [(1, 2), (2, 0)])
+    real = poset.hasse
+    monkeypatch.setattr(poset, "hasse", lambda j, q: built if q == 1 else real(j, q))
+    assert not checks._closure_equals_compare(3)
+    monkeypatch.setattr(poset, "hasse", real)
+    assert checks._closure_equals_compare(3)
 
 
 def test_remainder_monotonicity_cover_mode():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import collatz_paradox
 from collatz_paradox import search
-from collatz_paradox.census import _decimal
+from collatz_paradox.census import _decimal, _passes_through
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
 from collatz_paradox.runner import SearchConfig, run_search
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
@@ -433,6 +433,16 @@ def test_package_exports_are_a_literal_list_of_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(exported) == public   # every public name, and no module
     assert isinstance(collatz_paradox.census, types.ModuleType)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_passes_through_equals_membership_in_the_iterates(formalism):
+    hits = run_search(SearchConfig(3, 5000, formalism)).hits()
+    assert hits
+    for h in hits:
+        iterates = trajectory(h.n, h.j, formalism).iterates
+        for value in (11, 103, 0, h.n, iterates[-1]):
+            assert _passes_through(h, value) is (value in iterates), (h.n, h.j, value)
 
 
 def test_census_decimal_rendering_nearest():
