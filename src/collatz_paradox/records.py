@@ -16,11 +16,13 @@ import enum
 from array import array
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
+from operator import add
 from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
 from .dynamics import Formalism
-from .search import delay, fill_excursion_memo, max_excursion
+from .search import _TAU, _TAU_THR, JUMP_K, _jump_rows, delay, max_excursion
 
 
 class RecordKind(enum.Enum):
@@ -48,66 +50,216 @@ _DATA_FILES = {
 }
 
 
-# The scan memo holds one int64 per start, so 10**8 starts take about 800 MB.
-# That covers the 10**7 prefix of the packaged reference tables and refuses a
-# range like 1..10**9 (8 GB) before anything is allocated.
+# A delay scan holds one 4-byte memo word per start, so 10**8 starts take about
+# 400 MB; a max-excursion scan holds no memo.  That covers the 10**7 prefix of
+# the packaged reference tables and refuses a range like 1..10**9 (4 GB) before
+# anything is allocated.
 RECORDS_N_MAX = 10**8
 
 
 def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     """Scan 1..n_hi and return every n whose statistic beats all smaller n.
 
-    Uses a below-start memo (the walk stops at the first iterate under its
-    start and reuses the already known tail), which keeps the scan at a few
-    steps per n instead of a full descent to 1.  n_hi is capped at
+    Most starts are settled by the K-step rows of search._jump_rows (K = 12)
+    without a walk: a start n of a row with a stopping time tau, above the
+    row's tau_thr, first falls below itself at step tau, to
+    y_tau = (3**q * n + c) >> tau (R. Terras, 1976).  The max-excursion scan
+    keeps no memo (see _excursion_records); the delay scans fill a 4-byte
+    memo one stopping-time class at a time (see _delay_memo).  Only the
+    starts of the rows without tau, and those the rows cannot settle, are
+    walked, each to its first iterate below the start.  n_hi is capped at
     RECORDS_N_MAX.
     """
     if n_hi < 1:
         raise ValueError("n_hi must be >= 1")
     if n_hi > RECORDS_N_MAX:
         raise ValueError(f"record scans stop at {RECORDS_N_MAX} starts "
-                         f"(8 bytes of memo per start); got {n_hi}")
-    out: list[RecordEntry] = []
-    best = -1
-
+                         f"(4 bytes of memo per start for a delay scan); got {n_hi}")
     if kind is RecordKind.MAX_EXCURSION_T:
-        memo = array("q", bytes(8)) * (n_hi + 1)
-        fill_excursion_memo(memo, 0, n_hi + 1)
-        for n in range(1, n_hi + 1):
-            peak = memo[n]
-            if peak > best:
-                best = peak
-                out.append(RecordEntry(n, peak))
-        return out
-
+        return _excursion_records(n_hi)
     if kind in (RecordKind.DELAY_COL, RecordKind.DELAY_T):
         # Both delays walk the compressed map; a classic odd step is 3x + 1
         # followed by a halving, so it counts 2.  The walk meets the same
         # first iterate below n, as the classic iterate 3x + 1 in between
         # exceeds x >= n.
-        odd_cost = 2 if kind is RecordKind.DELAY_COL else 1
-        memo = array("q", (0, 0))   # memo[m] = delay(m) for 1 <= m < len(memo)
-        append = memo.append
-        out.append(RecordEntry(1, 0))
+        memo = _delay_memo(n_hi, 2 if kind is RecordKind.DELAY_COL else 1)
+        out = [RecordEntry(1, 0)]
         best = 0
-        for n in range(2, n_hi + 1):
-            cur = n
-            d = 0
-            while cur >= n:
-                if cur & 1:
-                    cur = (3 * cur + 1) >> 1
-                    d += odd_cost
-                else:
-                    cur >>= 1
-                    d += 1
-            d += memo[cur]
-            append(d)
-            if d > best:
-                best = d
-                out.append(RecordEntry(n, d))
+        # by blocks, so that the search for a record rescans its block only
+        for lo in range(2, n_hi + 1, 1 << 16):
+            best = _records_in(memo, lo, min(lo + (1 << 16), n_hi + 1), best, out)
         return out
-
     raise ValueError(f"unsupported record kind {kind}")
+
+
+def _plain_end(rows: list[tuple]) -> int:
+    """The starts below this are walked plainly: 2**(K+1), or past the
+    largest tau_thr if that were higher (it is 24 at K = 12)."""
+    return max(2 << JUMP_K, 1 + max(row[_TAU_THR] for row in rows if row[_TAU]))
+
+
+def _peak_before_descent(n: int, cur: int, peak: int) -> int:
+    """The greatest of peak and the compressed-map iterates from cur on,
+    before the first one below n."""
+    while cur >= n:
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1
+            if cur > peak:
+                peak = cur
+        else:
+            cur >>= 1
+    return peak
+
+
+def _excursion_records(n_hi: int) -> list[RecordEntry]:
+    """The max-excursion records of 1..n_hi, with no memo.
+
+    For n >= 3 with first iterate y below n, M(n) = max(P(n), M(y)), where
+    P(n) is the greatest iterate from n before that descent.  M(y) is at most
+    best, the record of the starts below n, so n is a record iff P(n) > best,
+    and then M(n) = P(n).
+
+    Past the plain walks, the scan goes in segments [lo, 2*lo), each against
+    best as it stood at lo.  Each of n's first K iterates satisfies
+    y_i * 2**K <= gmax*n + hmax (its row's columns), so they are all <= best
+    for n <= cheap, a threshold per row.  A start of a row with tau, at most
+    cheap, descends at step tau with P(n) <= best (it is above tau_thr, as
+    every start past _plain_end is): it is no record and is not walked.  A
+    start of a row without tau does not descend within K steps, so at most
+    cheap it walks on from y_K with the peak at best.  Every other start
+    walks from n.  The (n, P(n)) with P(n) > best are sorted, and their
+    running maximum gives the records.
+    """
+    out = [RecordEntry(n, n) for n in (1, 2) if n <= n_hi]
+    best = 2
+    rows = _jump_rows()
+    lo = min(n_hi + 1, _plain_end(rows))
+    for n in range(3, lo):
+        peak = _peak_before_descent(n, n, n)
+        if peak > best:
+            best = peak
+            out.append(RecordEntry(n, peak))
+    period = 1 << JUMP_K
+    while lo <= n_hi:
+        hi = min(n_hi + 1, 2 * lo)
+        limit = ((best + 1) << JUMP_K) - 1
+        found = []
+        for r, (a, c, _, _, gmax, hmax, _, _, tau, _) in enumerate(rows):
+            cheap = min(best, (limit - hmax) // gmax)
+            first = lo + (r - lo) % period
+            above = max(first, cheap + 1 + (r - cheap - 1) % period)
+            if not tau:
+                for n in range(first, min(above, hi), period):
+                    peak = _peak_before_descent(n, (a * n + c) >> JUMP_K, best)
+                    if peak > best:
+                        found.append((n, peak))
+            for n in range(above, hi, period):
+                peak = _peak_before_descent(n, n, n)
+                if peak > best:
+                    found.append((n, peak))
+        found.sort()
+        for n, peak in found:
+            if peak > best:
+                best = peak
+                out.append(RecordEntry(n, peak))
+        lo = hi
+    return out
+
+
+def _stopping_classes(rows: list[tuple]) -> tuple[list[tuple], list[int]]:
+    """The residue classes that fix the stopping time, and the rows without.
+
+    A row r with tau lies in the class r mod 2**tau: every x in that class
+    above its tau_thr has y_tau = (a*x + c) >> tau < x, with a = 3**q, and
+    every iterate before above x.  Returns the classes as (tau, r, a, c, q),
+    with (a, c, q) from a tau-step walk of r, and the rows without tau.
+    """
+    keys = sorted({(row[_TAU], r & ((1 << row[_TAU]) - 1))
+                   for r, row in enumerate(rows) if row[_TAU]})
+    classes = []
+    for tau, r in keys:
+        a, c, q = 1, 0, 0
+        for i in range(tau):
+            if (a * r + c) >> i & 1:
+                a, c, q = 3 * a, 3 * c + (1 << i), q + 1
+        classes.append((tau, r, a, c, q))
+    return classes, [r for r, row in enumerate(rows) if not row[_TAU]]
+
+
+def _delay_below(n: int, cur: int, d: int, odd_cost: int, memo) -> int:
+    """d plus the cost of the steps from cur to the first iterate below n,
+    plus that iterate's delay from memo."""
+    while cur >= n:
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1
+            d += odd_cost
+        else:
+            cur >>= 1
+            d += 1
+    return d + memo[cur]
+
+
+def _delay_memo(n_hi: int, odd_cost: int) -> array:
+    """memo[n] = the delay of n for n <= n_hi (memo[0] = 0), 4 bytes per
+    start; an odd step counts odd_cost (2 for the classic delay, 1 for the
+    compressed one).
+
+    Below _plain_end each start walks to its first iterate below it and adds
+    that iterate's delay.  Above, the memo fills in chunks [lo, hi).  A
+    stopping-time class (tau, r, a, c, q) maps its starts n = n0, n0 + 2**tau,
+    ... to y_tau = (a*n + c) >> tau, an arithmetic progression with step a,
+    so its part of the chunk is one strided slice:
+    memo[n] = tau + q*(odd_cost - 1) + memo[y_tau].  hi is the least n at
+    which some class's y_tau reaches lo, so every entry read is already
+    final.  The starts of the rows without tau then walk in ascending order
+    from y_K, with the cost of their first K steps.
+    """
+    rows = _jump_rows()
+    memo = array("i", bytes(4)) * (n_hi + 1)
+    lo = min(n_hi + 1, _plain_end(rows))
+    for n in range(2, lo):
+        memo[n] = _delay_below(n, n, 0, odd_cost, memo)
+    classes, walked = _stopping_classes(rows)
+    extra = odd_cost - 1
+    period = 1 << JUMP_K
+    while lo <= n_hi:
+        hi = n_hi + 1
+        for tau, r, a, c, _ in classes:
+            n = -(-((lo << tau) - c) // a)     # least n with a*n + c >= lo << tau
+            hi = min(hi, n + (r - n) % (1 << tau))
+        for tau, r, a, c, q in classes:
+            step = 1 << tau
+            n0 = lo + (r - lo) % step
+            if n0 < hi:
+                y0 = (a * n0 + c) >> tau
+                count = (hi - 1 - n0) // step + 1
+                memo[n0:hi:step] = array("i", map(add, memo[y0:y0 + count * a:a],
+                                                  repeat(tau + extra * q)))
+        for base in range(lo - lo % period, hi, period):
+            for r in walked:
+                n = base + r
+                if lo <= n < hi:
+                    a, c, dq = rows[r][:3]
+                    memo[n] = _delay_below(n, (a * n + c) >> JUMP_K,
+                                           JUMP_K + extra * dq, odd_cost, memo)
+        lo = hi
+    return memo
+
+
+def _records_in(memo, lo: int, hi: int, best: int, out: list[RecordEntry]) -> int:
+    """Append to out each n in [lo, hi) with memo[n] above best and above
+    every memo[m], lo <= m < n; return the new best.  The first n holding the
+    top of the stretch is its last record, so only the stretch before it is
+    searched on."""
+    if hi <= lo:
+        return best
+    top = max(memo[lo:hi])
+    if top <= best:
+        return best
+    n = memo.index(top, lo, hi)
+    _records_in(memo, lo, n, best, out)
+    out.append(RecordEntry(n, top))
+    return top
 
 
 def recompute_value(n: int, kind: RecordKind) -> int:

@@ -158,7 +158,8 @@ def fill_excursion_memo(memo, lo: int, hi: int) -> None:
     Each walk stops at its first iterate below the start and reuses the
     already known excursion of that iterate, so a start costs a few steps
     instead of a full descent to 1.  memo is any int64 buffer of at least hi
-    entries: the process memo below, or the array of a record scan.
+    entries; the scans fill the process memo below with it.  The record scans
+    keep no excursion memo (see records.compute_records).
     """
     for n in range(lo, hi):
         if n < 3:

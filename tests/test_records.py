@@ -1,7 +1,11 @@
+from array import array
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from collatz_paradox import records, search
 from collatz_paradox.dynamics import Formalism
 from collatz_paradox.records import (IngestError, RecordEntry, RecordKind,
                                      compute_records, ingest_reference_records,
@@ -36,6 +40,101 @@ def test_delay_records_match_running_maximum(kind, formalism):
         if not expected or d > expected[-1].value:
             expected.append(RecordEntry(n, d))
     assert compute_records(20000, kind) == expected
+
+
+def _running_maximum(values, n_hi: int) -> list[RecordEntry]:
+    out = []
+    for n in range(1, n_hi + 1):
+        if not out or values[n] > out[-1].value:
+            out.append(RecordEntry(n, values[n]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _excursion_records_by_memo(n_hi: int) -> list[RecordEntry]:
+    # The running maximum of the walking memo fill.
+    memo = array("q", bytes(8)) * (n_hi + 1)
+    search.fill_excursion_memo(memo, 0, n_hi + 1)
+    return _running_maximum(memo, n_hi)
+
+
+@lru_cache(maxsize=None)
+def _delay_memo_by_walks(n_hi: int, odd_cost: int) -> list[int]:
+    # One walk per start to its first iterate below it, plus that iterate's
+    # delay from a memo grown by append.
+    memo = [0, 0]
+    for n in range(2, n_hi + 1):
+        cur = n
+        d = 0
+        while cur >= n:
+            if cur & 1:
+                cur = (3 * cur + 1) >> 1
+                d += odd_cost
+            else:
+                cur >>= 1
+                d += 1
+        memo.append(d + memo[cur])
+    return memo
+
+
+def _odd_cost(kind: RecordKind) -> int:
+    return 2 if kind is RecordKind.DELAY_COL else 1
+
+
+def _delay_records_by_walks(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
+    return _running_maximum(_delay_memo_by_walks(n_hi, _odd_cost(kind)), n_hi)
+
+
+def _records_by_oracle(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
+    if kind is RecordKind.MAX_EXCURSION_T:
+        return _excursion_records_by_memo(n_hi)
+    return _delay_records_by_walks(n_hi, kind)
+
+
+@pytest.mark.parametrize("n_hi", [2**18, 3 * 2**12 - 1, 3 * 2**12, 3 * 2**12 + 1,
+                                  2**13, 2**13 + 1])
+def test_excursion_records_equal_the_running_maximum_of_the_memo(n_hi):
+    expected = [e for e in _excursion_records_by_memo(2**18) if e.n <= n_hi]
+    assert compute_records(n_hi, RecordKind.MAX_EXCURSION_T) == expected
+
+
+@pytest.mark.parametrize("kind", [RecordKind.DELAY_COL, RecordKind.DELAY_T])
+def test_delay_records_equal_the_walking_scan(kind):
+    assert compute_records(2**18, kind) == _delay_records_by_walks(2**18, kind)
+    # every entry, not only the records: a wrong entry below a record holder
+    # may leave the record list as it is
+    memo = records._delay_memo(2**18, _odd_cost(kind))
+    assert memo.tolist() == _delay_memo_by_walks(2**18, _odd_cost(kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_hi=st.integers(1, 60_000), kind=st.sampled_from(list(RecordKind)))
+def test_record_scans_equal_the_oracles_at_any_range_end(n_hi, kind):
+    expected = [e for e in _records_by_oracle(60_000, kind) if e.n <= n_hi]
+    assert compute_records(n_hi, kind) == expected
+
+
+def test_residues_are_walked_rows_or_in_one_stopping_class():
+    rows = search._jump_rows()
+    classes, walked = records._stopping_classes(rows)
+    assert len(classes) == 57 and len(walked) == 226
+    walked = set(walked)
+    for r in range(1 << search.JUMP_K):
+        owners = [cls for cls in classes if r % (1 << cls[0]) == cls[1]]
+        assert len(owners) == (0 if r in walked else 1), r
+    for tau, r, a, c, q in classes:
+        # every start of the class above the rows' tau_thr falls below itself
+        # first at step tau, to (a*x + c) >> tau, after q odd steps
+        assert a == 3**q
+        for x in range(r + (32 << tau), r + (40 << tau), 1 << tau):
+            y, odd = x, 0
+            for _ in range(tau - 1):
+                odd += y & 1
+                y = (3 * y + 1) >> 1 if y & 1 else y >> 1
+                assert y >= x
+            odd += y & 1
+            y = (3 * y + 1) >> 1 if y & 1 else y >> 1
+            assert (y, odd) == ((a * x + c) >> tau, q) and y < x
 
 
 def test_recompute_value():

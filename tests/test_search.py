@@ -208,12 +208,12 @@ def test_process_memo_matches_max_excursion(m):
 def test_memo_is_lazy_and_sized_by_the_range():
     # a fresh process: the memo is built by scans only, never at import or by
     # the record scans, and a range far out gets only 2**16 entries; the jump
-    # rows are built by the first scan, for its start jumps
+    # rows are built by the first record scan or paradox scan
     code = "\n".join([
         "from collatz_paradox import records, search",
         "assert search._memo is None and len(search._jump_table) == 0",
         "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
-        "assert search._memo is None and len(search._jump_table) == 0",
+        "assert search._memo is None and len(search._jump_table) == 1 << search.JUMP_K",
         "filled = lambda: search._memo[search._MEMO_FULL]   # the filled length",
         "search.scan_paradoxes(3, 5000, search.Formalism.CLASSIC)",
         "assert filled() == 5001",
