@@ -9,6 +9,7 @@ whenever the interval straddles (the result is still a proof, just cheaper).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,12 +96,13 @@ def mean_remainder(j: int) -> Fraction:
 
 
 def harmonic_mean_odd_terms(traj: Trajectory) -> Fraction:
-    """Harmonic mean of the odd terms among the first j iterates (exact)."""
+    """Harmonic mean of the odd terms among the first j iterates (exact), as
+    k*D / (D/m_1 + ... + D/m_k) with D their product: one integer sum."""
     odds = traj.odd_terms()
     if not odds:
         raise ValueError("trajectory has no odd terms before the last")
-    s = sum(Fraction(1, m) for m in odds)
-    return Fraction(len(odds), 1) / s
+    d = math.prod(odds)
+    return Fraction(len(odds) * d, sum(d // m for m in odds))
 
 
 @dataclass(frozen=True)

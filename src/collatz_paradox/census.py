@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .dynamics import Formalism, step
+from .dynamics import Formalism, orbit
 from .search import ParadoxHit
 
 
@@ -98,13 +99,9 @@ def census(hits: list[ParadoxHit]) -> tuple[list[CensusRow], CensusSummary]:
 
 
 def _passes_through(hit: ParadoxHit, value: int) -> bool:
-    """Whether value is one of the hit's j + 1 iterates, walked step by step."""
-    cur = hit.n
-    for _ in range(hit.j):
-        if cur == value:
-            return True
-        cur = step(cur, hit.formalism)
-    return cur == value
+    """Whether value is one of the hit's j + 1 iterates, walked along its orbit."""
+    iterates = (cur for cur, _, _ in islice(orbit(hit.n, hit.formalism), hit.j))
+    return value == hit.n or value in iterates
 
 
 def _decimal(x: Fraction, places: int) -> str:

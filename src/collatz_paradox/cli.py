@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("j", type=int)
     pp.add_argument("q", type=int)
     pp.add_argument("--out", metavar="PATH", help="DOT output path (default: stdout)")
-    pp.add_argument("--cap", type=int, default=16)
 
     pb = sub.add_parser("bounds", help="recompute the published bound values")
     bq = pb.add_subparsers(dest="subquery", required=True, metavar="SUBQUERY")
@@ -173,7 +172,7 @@ def cmd_cst(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    diagram = hasse(args.j, args.q, cap=args.cap)
+    diagram = hasse(args.j, args.q)
     dot = diagram.to_dot(f"hasse_{args.j}_{args.q}")
     if args.out:
         write_text(args.out, dot)

@@ -54,6 +54,21 @@ def step(n: int, formalism: Formalism = Formalism.SHORTCUT) -> int:
     return n >> 1
 
 
+def orbit(n: int, formalism: Formalism = Formalism.SHORTCUT):
+    """Yield (iterate, q, e) after each step of `step` from n, without end: the
+    reference walk.  q counts the odd steps and e the halvings (a classic odd
+    step 3n + 1 halves nothing); n must be a positive integer."""
+    shortcut = formalism is Formalism.SHORTCUT
+    q = e = 0
+    while True:
+        odd = n & 1
+        n = step(n, formalism)
+        q += odd
+        if shortcut or not odd:
+            e += 1
+        yield n, q, e
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Iterates of one finite trajectory and its final linear form.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import BudgetExhausted, Trajectory, step, trajectory
+from .dynamics import BudgetExhausted, Trajectory, orbit, trajectory
 from .precision import (
     Undecided,
     certified_sign,
@@ -215,19 +215,13 @@ def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
     if require_in_s and not in_s:
         raise ValueError(f"pair {pair} is not in S for n = {n}")
 
-    cur = n
-    q = 0
-    j = 0
     min_seen = n
-    while q < a:
-        if j >= budget:
+    for j, (cur, q, _) in enumerate(orbit(n), 1):
+        if j > budget:
             raise BudgetExhausted(n, budget, what="odd-step count never reached a")
-        odd = cur & 1
-        cur = step(cur)
-        j += 1
-        q += odd
-        if cur < min_seen:
-            min_seen = cur
+        min_seen = min(min_seen, cur)
+        if q == a:
+            break
 
     if j >= b:
         built = trajectory(n, j)

@@ -19,8 +19,7 @@ from itertools import combinations
 from .dynamics import Formalism, trajectory
 from .vectors import ParityVector
 
-HASSE_DEFAULT_CAP = 16
-PAIRWISE_J_MAX = 10   # check_remainder_monotonicity tests every pair up to here
+HASSE_DEFAULT_CAP = 16   # longest words hasse draws (edge counts explode)
 
 
 class PosetRelation(enum.Enum):
@@ -136,10 +135,10 @@ class HasseDiagram:
         return "\n".join(lines) + "\n"
 
 
-def hasse(j: int, q: int, cap: int = HASSE_DEFAULT_CAP) -> HasseDiagram:
-    """Hasse diagram over all C(j, q) vectors; j capped (edge counts explode)."""
-    if j > cap:
-        raise ValueError(f"length {j} exceeds cap {cap}")
+def hasse(j: int, q: int) -> HasseDiagram:
+    """Hasse diagram over all C(j, q) vectors; j at most HASSE_DEFAULT_CAP."""
+    if j > HASSE_DEFAULT_CAP:
+        raise ValueError(f"length {j} exceeds cap {HASSE_DEFAULT_CAP}")
     nodes = all_vectors(j, q)
     index = {v: i for i, v in enumerate(nodes)}
     edges = []
@@ -164,24 +163,15 @@ def check_remainder_monotonicity(j: int,
                                  formalism: Formalism = Formalism.SHORTCUT) -> MonotonicityReport:
     """Strictly preceding parity vectors must have strictly larger remainders.
 
-    Brute force over all residues mod 2**j.  Up to PAIRWISE_J_MAX every
-    comparable pair is tested, read from the `up_sets` of each weight class
-    and a mask of the members whose remainder numerator is not smaller; the
-    violations come out in the order of a nested loop over the members.
-    Beyond it only cover pairs are tested (which imply the
-    full statement by transitivity, keeping larger j affordable).  Cover mode
-    needs the shortcut map: a cover of a classic parity vector may contain 11,
-    which no classic trajectory realises (an odd classic iterate is always
-    followed by an even one), so there the covers prove nothing.
+    Brute force over all residues mod 2**j: every comparable pair is tested,
+    read from the `up_sets` of each weight class and a mask of the members
+    whose remainder numerator is not smaller; the violations come out in the
+    order of a nested loop over the members.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > 16:
         raise ValueError("j > 16 not supported (2**j residues)")
-    if j > PAIRWISE_J_MAX and formalism is Formalism.CLASSIC:
-        raise ValueError("cover mode needs the shortcut map: a cover of a classic "
-                         "parity vector may contain 11, which no classic trajectory "
-                         f"realises; classic lengths stop at {PAIRWISE_J_MAX}, got {j}")
     # v -> (n, E numerator), one residue per vector: the remainder depends on
     # the parity vector alone, and all remainders of one weight q share the
     # denominator 2**e, e = j on the shortcut map and j - q on the classic map
@@ -192,32 +182,24 @@ def check_remainder_monotonicity(j: int,
 
     violations = []
     checked = 0
-    if j <= PAIRWISE_J_MAX:
-        by_weight: dict[int, list[tuple[ParityVector, int, int]]] = {}
-        for v, (n, num) in by_vector.items():
-            by_weight.setdefault(v.q, []).append((v, n, num))
-        for members in by_weight.values():
-            ups = up_sets([v for v, _, _ in members])
-            # at_least[num]: the members whose numerator is >= num
-            at_least: dict[int, int] = {}
-            for k, (_, _, num) in enumerate(members):
-                at_least[num] = at_least.get(num, 0) | 1 << k
-            mask = 0
-            for num in sorted(at_least, reverse=True):
-                mask = at_least[num] = mask | at_least[num]
-            for k, (_, m, num) in enumerate(members):
-                strict = ups[k] & ~(1 << k)
-                checked += strict.bit_count()
-                bad = strict & at_least[num]
-                while bad:   # ascending member order, as a pair loop would give
-                    low = bad & -bad
-                    violations.append((m, members[low.bit_length() - 1][1]))
-                    bad ^= low
-    else:
-        for v, (m, num_m) in by_vector.items():
-            for w in covers(v):
-                checked += 1
-                n, num_n = by_vector[w]
-                if not num_m > num_n:
-                    violations.append((m, n))
+    by_weight: dict[int, list[tuple[ParityVector, int, int]]] = {}
+    for v, (n, num) in by_vector.items():
+        by_weight.setdefault(v.q, []).append((v, n, num))
+    for members in by_weight.values():
+        ups = up_sets([v for v, _, _ in members])
+        # at_least[num]: the members whose numerator is >= num
+        at_least: dict[int, int] = {}
+        for k, (_, _, num) in enumerate(members):
+            at_least[num] = at_least.get(num, 0) | 1 << k
+        mask = 0
+        for num in sorted(at_least, reverse=True):
+            mask = at_least[num] = mask | at_least[num]
+        for k, (_, m, num) in enumerate(members):
+            strict = ups[k] & ~(1 << k)
+            checked += strict.bit_count()
+            bad = strict & at_least[num]
+            while bad:   # ascending member order, as a pair loop would give
+                low = bad & -bad
+                violations.append((m, members[low.bit_length() - 1][1]))
+                bad ^= low
     return MonotonicityReport(j, checked, violations)

@@ -21,7 +21,7 @@ from operator import add
 from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
-from .dynamics import Formalism
+from .dynamics import Formalism, trajectory
 from .search import _TAU, _TAU_THR, JUMP_K, _jump_rows, delay, max_excursion
 
 
@@ -172,17 +172,14 @@ def _stopping_classes(rows: list[tuple]) -> tuple[list[tuple], list[int]]:
     A row r with tau lies in the class r mod 2**tau: every x in that class
     above its tau_thr has y_tau = (a*x + c) >> tau < x, with a = 3**q, and
     every iterate before above x.  Returns the classes as (tau, r, a, c, q),
-    with (a, c, q) from a tau-step walk of r, and the rows without tau.
+    with (a, c, q) from trajectory(r or 2**tau, tau), and the rows without tau.
     """
     keys = sorted({(row[_TAU], r & ((1 << row[_TAU]) - 1))
                    for r, row in enumerate(rows) if row[_TAU]})
     classes = []
     for tau, r in keys:
-        a, c, q = 1, 0, 0
-        for i in range(tau):
-            if (a * r + c) >> i & 1:
-                a, c, q = 3 * a, 3 * c + (1 << i), q + 1
-        classes.append((tau, r, a, c, q))
+        t = trajectory(r or 1 << tau, tau)
+        classes.append((tau, r, 3**t.q, t.e_num, t.q))
     return classes, [r for r, row in enumerate(rows) if not row[_TAU]]
 
 

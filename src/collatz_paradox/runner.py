@@ -25,6 +25,7 @@ import contextlib
 import hashlib
 import itertools
 import os
+import signal
 import tempfile
 import time
 from collections.abc import Sequence
@@ -214,10 +215,14 @@ def run_search(cfg: SearchConfig, threads: int = 1,
             from concurrent import futures
             ctx = multiprocessing.get_context("fork")
             stack.enter_context(search.memo_shared_by_forks(ctx.Lock()))
-            # Executor.map submits every task at once, and cancels the blocks
-            # not yet started once one raises.
-            pool = stack.enter_context(
-                futures.ProcessPoolExecutor(max_workers=threads, mp_context=ctx))
+            # The workers ignore SIGINT, so a Ctrl-C to the process group
+            # kills none inside the call queue or holding the memo lock.
+            # Executor.map submits every task at once; leaving the pool, by
+            # an error or a Ctrl-C too, cancels the blocks not yet started.
+            pool = futures.ProcessPoolExecutor(
+                max_workers=threads, mp_context=ctx, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN))
+            stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_scan_block_task, tasks)
         for (idx, _, _), pairs in zip(pending, results):
             done[idx] = pairs

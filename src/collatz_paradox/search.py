@@ -49,8 +49,9 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .dynamics import BudgetExhausted, Formalism, trajectory
+from .dynamics import BudgetExhausted, Formalism, orbit, trajectory
 
 INFINITE = math.inf
 DEFAULT_BUDGET = 1_000_000
@@ -78,34 +79,19 @@ def stopping_time(n: int, budget: int = DEFAULT_BUDGET) -> int | float:
         raise ValueError("n must be >= 1")
     if n == 1:
         return INFINITE   # the orbit of 1 is the cycle (1, 2); it never descends
-    cur = n
-    j = 0
-    while cur >= n:
-        cur = (3 * cur + 1) >> 1 if cur & 1 else cur >> 1
-        j += 1
+    for j, (cur, _, _) in enumerate(orbit(n), 1):
         if j > budget:
             raise BudgetExhausted(n, budget, what="no descent below the start")
-    return j
+        if cur < n:
+            return j
 
 
 def coeff_stopping_time(n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Least j with 3**q_j(n) < 2**j (exact power comparison via bit lengths)."""
+    """Least j with 3**q_j(n) < 2**j (exact powers, computed afresh at each step)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bl3 = _bl3_table(80)
-    cur = n
-    q = 0
-    j = 0
-    while True:
-        if cur & 1:
-            cur = (3 * cur + 1) >> 1
-            q += 1
-            if q >= len(bl3):
-                bl3 = _bl3_table(2 * q)
-        else:
-            cur >>= 1
-        j += 1
-        if bl3[q] <= j:
+    for j, (_, q, _) in enumerate(orbit(n), 1):
+        if 3**q < 1 << j:
             return j
         if j > budget:
             raise BudgetExhausted(n, budget, what="coefficient never dropped below 1")
@@ -116,18 +102,13 @@ def delay(n: int, formalism: Formalism = Formalism.SHORTCUT,
     """Least j with iterate = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    shortcut = formalism is Formalism.SHORTCUT
-    cur = n
-    j = 0
-    while cur != 1:
-        if cur & 1:
-            cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
-        else:
-            cur >>= 1
-        j += 1
+    if n == 1:
+        return 0
+    for j, (cur, _, _) in enumerate(orbit(n, formalism), 1):
         if j > budget:
             raise BudgetExhausted(n, budget, what="never reached 1")
-    return j
+        if cur == 1:
+            return j
 
 
 def max_excursion(n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -135,20 +116,15 @@ def max_excursion(n: int, budget: int = DEFAULT_BUDGET) -> int:
     before the trivial cycle for every start)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cur = n
+    if n == 1:
+        return 1
     best = n
-    j = 0
-    while cur != 1:
-        if cur & 1:
-            cur = (3 * cur + 1) >> 1
-            if cur > best:
-                best = cur
-        else:
-            cur >>= 1
-        j += 1
+    for j, (cur, _, _) in enumerate(orbit(n), 1):
         if j > budget:
             raise BudgetExhausted(n, budget, what="never reached 1")
-    return best
+        if cur == 1:
+            return best
+        best = max(best, cur)
 
 
 def fill_excursion_memo(memo, lo: int, hi: int) -> None:
@@ -508,32 +484,19 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
 
 def naive_paradoxes(n_lo: int, n_hi: int, j_max: int,
                     formalism: Formalism = Formalism.SHORTCUT) -> list[tuple[int, int]]:
-    """Brute-force oracle: walk every n once, up to j_max steps of the given
-    map (plain 3x+1 steps on the classic one), and after each step test both
-    conditions with freshly computed powers.  No memo, no jump table, no
-    pruning and no exit but the stop-at-1 domain convention (a walk ends
-    before a step from 1), so it shares nothing with the fast path."""
-    shortcut = formalism is Formalism.SHORTCUT
+    """Brute-force oracle: walk every n once along its orbit, up to j_max
+    steps of the given map (plain 3x+1 steps on the classic one), and after
+    each step test both conditions with freshly computed powers.  No memo,
+    no jump table, no pruning and no exit but the stop-at-1 domain convention
+    (a walk ends before a step from 1, so the start 1 takes none), so it
+    shares nothing with the fast path."""
     out = []
-    for n in range(n_lo, n_hi + 1):
-        cur = n
-        q = 0
-        e = 0
-        for j in range(1, j_max + 1):
-            if cur == 1:
-                break
-            if cur % 2 == 1:
-                q += 1
-                if shortcut:
-                    cur = (3 * cur + 1) // 2
-                    e += 1
-                else:
-                    cur = 3 * cur + 1
-            else:
-                cur = cur // 2
-                e += 1
+    for n in range(max(n_lo, 2), n_hi + 1):
+        for j, (cur, q, e) in enumerate(islice(orbit(n, formalism), j_max), 1):
             if 3**q < 2**e and cur >= n:
                 out.append((n, j))
+            if cur == 1:
+                break
     return out
 
 

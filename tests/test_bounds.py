@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
@@ -144,6 +145,25 @@ def test_harmonic_mean():
     h = harmonic_mean_odd_terms(trajectory(7, 8))
     s = sum(Fraction(1, m) for m in (7, 11, 17, 13, 5))
     assert h == Fraction(5) / s
+
+
+def _old_harmonic_mean_odd_terms(traj):
+    # the mean as it was first computed: a Fraction sum, one reduction per term
+    odds = traj.odd_terms()
+    return Fraction(len(odds), 1) / sum(Fraction(1, m) for m in odds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(1, 10**5), st.integers(1, 1 << 70)),
+       j=st.integers(1, 200), formalism=st.sampled_from(Formalism))
+def test_harmonic_mean_equals_the_fraction_sum(n, j, formalism):
+    traj = trajectory(n, j, formalism)
+    if not traj.odd_terms():
+        with pytest.raises(ValueError):
+            harmonic_mean_odd_terms(traj)
+        return
+    h = harmonic_mean_odd_terms(traj)
+    assert h == _old_harmonic_mean_odd_terms(traj)
 
 
 def test_harmonic_cap():

@@ -151,6 +151,12 @@ def test_poset_command(tmp_path, capsys):
     assert main(["poset", "5", "3"]) == EXIT_OK
     assert "10 nodes" in capsys.readouterr().err
     assert main(["poset", "30", "2"]) == EXIT_FAIL
+    capsys.readouterr()
+    assert main(["poset", "17", "8"]) == EXIT_FAIL   # the cap is fixed at 16
+    assert "length 17 exceeds cap 16" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "17", "8", "--cap", "20"])
+    assert exc.value.code == 2
 
 
 def test_bounds_subqueries(capsys):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collatz_paradox.dynamics import (BudgetExhausted, Formalism, residue_forms, step,
-                                      trajectory)
+from collatz_paradox.dynamics import (BudgetExhausted, Formalism, orbit, residue_forms,
+                                      step, trajectory)
 
 
 def parity_vector(n, j, formalism=Formalism.SHORTCUT):
@@ -18,6 +20,23 @@ def test_step_both_formalisms():
     assert step(22, Formalism.CLASSIC) == 11
     with pytest.raises(ValueError):
         step(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**5), j=st.integers(0, 300), formalism=st.sampled_from(Formalism))
+def test_orbit_yields_the_trajectory_with_its_counts(n, j, formalism):
+    walk = list(islice(orbit(n, formalism), j))
+    t = trajectory(n, j, formalism)
+    assert [cur for cur, _, _ in walk] == list(t.iterates[1:])
+    assert (walk[-1][1:] if walk else (0, 0)) == (t.q, t.e)
+    for i, (_, q, e) in enumerate(walk, 1):   # a classic odd step halves nothing
+        assert e == (i if formalism is Formalism.SHORTCUT else i - q)
+
+
+def test_orbit_needs_a_positive_start():
+    assert next(orbit(1, Formalism.CLASSIC)) == (4, 1, 0)
+    with pytest.raises(ValueError):
+        next(orbit(0))
 
 
 def test_advance_form_single_steps():

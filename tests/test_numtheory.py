@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_paradox import numtheory
-from collatz_paradox.dynamics import BudgetExhausted
-from collatz_paradox.numtheory import (ApproxPair, approx_pairs, convergents,
-                                       divergent_to_paradox, heuristic_j_cap,
+from collatz_paradox.dynamics import BudgetExhausted, step, trajectory
+from collatz_paradox.numtheory import (ApproxPair, DivergenceWitness, approx_pairs,
+                                       convergents, divergent_to_paradox, heuristic_j_cap,
                                        heuristic_threshold_str, pair_in_s,
                                        partial_quotients, ratio_below_log2_log3,
                                        rhin_gap_ok)
@@ -105,6 +106,48 @@ def test_divergent_construction_mechanism_on_converging_start():
 def test_divergent_budget():
     with pytest.raises(BudgetExhausted):
         divergent_to_paradox(1, ApproxPair(50, 80), require_in_s=False, budget=20)
+
+
+def _old_divergent_to_paradox(n, pair, budget):
+    # the construction with its walk to a odd steps as it was first written,
+    # one hand-written step loop, for pairs taken as they come (outside S too)
+    a, b = pair.a, pair.b
+    in_s = pair_in_s(n, pair)
+    cur = n
+    q = 0
+    j = 0
+    min_seen = n
+    while q < a:
+        if j >= budget:
+            raise BudgetExhausted(n, budget, what="odd-step count never reached a")
+        odd = cur & 1
+        cur = step(cur)
+        j += 1
+        q += odd
+        if cur < min_seen:
+            min_seen = cur
+    if j >= b:
+        built = trajectory(n, j)
+        cst = n != 1 and min_seen >= n and built.is_paradoxical()
+        return DivergenceWitness(n, pair, in_s, j, n, j, False, built, cst)
+    m = n << (b - j)
+    return DivergenceWitness(n, pair, in_s, j, m, b, True, trajectory(m, b), False)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**5), a=st.integers(1, 80), b=st.integers(1, 160),
+       budget=st.one_of(st.integers(0, 40), st.integers(0, 400)))
+def test_divergent_walk_equals_its_old_step_loop(n, a, b, budget):
+    pair = ApproxPair(a, b)
+    assert (_outcome(divergent_to_paradox, n, pair, require_in_s=False, budget=budget)
+            == _outcome(_old_divergent_to_paradox, n, pair, budget))
 
 
 def test_rhin_gap():

@@ -277,21 +277,21 @@ def test_closure_check_fails_on_an_edge_that_does_not_rise(monkeypatch):
     assert checks._closure_equals_compare(3)
 
 
-def test_remainder_monotonicity_cover_mode():
+def test_remainder_monotonicity_counts_every_pair_past_j_10():
     rep = check_remainder_monotonicity(12)
-    assert rep.ok and rep.pairs_checked > 0
+    assert rep.ok and rep.pairs_checked == 738804
 
 
 def test_remainder_monotonicity_classic_map():
-    # pairwise mode holds on the classic map, and checks each pair of parity
-    # vectors once however many residues realise it; cover mode is refused
-    # there before any walk, since a cover may contain 11 (no classic
-    # trajectory has it)
-    for j, pairs in ((4, 9), (10, 2139)):
+    # the check holds on the classic map past j = 10 too, and checks each
+    # pair of parity vectors once however many residues realise it; lengths
+    # past 16 are refused on either map
+    for j, pairs in ((4, 9), (10, 2139), (11, 5140)):
         rep = check_remainder_monotonicity(j, Formalism.CLASSIC)
         assert rep.ok and rep.pairs_checked == pairs
-    with pytest.raises(ValueError, match="contain 11"):
-        check_remainder_monotonicity(11, Formalism.CLASSIC)
+    for formalism in Formalism:
+        with pytest.raises(ValueError, match="j > 16"):
+            check_remainder_monotonicity(17, formalism)
 
 
 def test_dot_export():

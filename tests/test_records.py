@@ -114,6 +114,30 @@ def test_record_scans_equal_the_oracles_at_any_range_end(n_hi, kind):
     assert compute_records(n_hi, kind) == expected
 
 
+def _old_stopping_classes(rows):
+    # the classes as they were first built: a tau-step walk of each r
+    keys = sorted({(row[search._TAU], r & ((1 << row[search._TAU]) - 1))
+                   for r, row in enumerate(rows) if row[search._TAU]})
+    classes = []
+    for tau, r in keys:
+        a, c, q = 1, 0, 0
+        for i in range(tau):
+            if (a * r + c) >> i & 1:
+                a, c, q = 3 * a, 3 * c + (1 << i), q + 1
+        classes.append((tau, r, a, c, q))
+    return classes, [r for r, row in enumerate(rows) if not row[search._TAU]]
+
+
+def test_stopping_classes_equal_their_old_step_loop():
+    rows = search._jump_rows()
+    assert records._stopping_classes(rows) == _old_stopping_classes(rows)
+    with pytest.MonkeyPatch.context() as mp:   # the tree at other depths
+        for k in (1, 3, 8):
+            mp.setattr(search, "JUMP_K", k)
+            small = search._build_jump_rows()
+            assert records._stopping_classes(small) == _old_stopping_classes(small), k
+
+
 def test_residues_are_walked_rows_or_in_one_stopping_class():
     rows = search._jump_rows()
     classes, walked = records._stopping_classes(rows)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import collatz_paradox
 from collatz_paradox import search
 from collatz_paradox.census import _decimal, _passes_through
-from collatz_paradox.dynamics import BudgetExhausted, Formalism, trajectory
+from collatz_paradox.dynamics import BudgetExhausted, Formalism, step, trajectory
 from collatz_paradox.runner import SearchConfig, run_search
 from collatz_paradox.search import (INFINITE, ParadoxHit, coeff_stopping_time,
                                     delay, fill_excursion_memo, max_excursion,
@@ -64,6 +64,172 @@ def test_max_excursion():
     assert max_excursion(27) == 4616
     assert max_excursion(2**12) == 2**12
     assert max_excursion(1) == 1
+
+
+# The reference walks as they were before they read dynamics.orbit: one
+# hand-written step loop each, with the same budget rules.
+
+
+def _old_stopping_time(n, budget):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return INFINITE
+    cur = n
+    j = 0
+    while cur >= n:
+        cur = (3 * cur + 1) >> 1 if cur & 1 else cur >> 1
+        j += 1
+        if j > budget:
+            raise BudgetExhausted(n, budget, what="no descent below the start")
+    return j
+
+
+def _old_coeff_stopping_time(n, budget):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bl3 = search._bl3_table(80)
+    cur = n
+    q = 0
+    j = 0
+    while True:
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1
+            q += 1
+            if q >= len(bl3):
+                bl3 = search._bl3_table(2 * q)
+        else:
+            cur >>= 1
+        j += 1
+        if bl3[q] <= j:
+            return j
+        if j > budget:
+            raise BudgetExhausted(n, budget, what="coefficient never dropped below 1")
+
+
+def _old_delay(n, formalism, budget):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    shortcut = formalism is Formalism.SHORTCUT
+    cur = n
+    j = 0
+    while cur != 1:
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1 if shortcut else 3 * cur + 1
+        else:
+            cur >>= 1
+        j += 1
+        if j > budget:
+            raise BudgetExhausted(n, budget, what="never reached 1")
+    return j
+
+
+def _old_max_excursion(n, budget):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cur = n
+    best = n
+    j = 0
+    while cur != 1:
+        if cur & 1:
+            cur = (3 * cur + 1) >> 1
+            if cur > best:
+                best = cur
+        else:
+            cur >>= 1
+        j += 1
+        if j > budget:
+            raise BudgetExhausted(n, budget, what="never reached 1")
+    return best
+
+
+def _old_naive_paradoxes(n_lo, n_hi, j_max, formalism):
+    shortcut = formalism is Formalism.SHORTCUT
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        cur = n
+        q = 0
+        e = 0
+        for j in range(1, j_max + 1):
+            if cur == 1:
+                break
+            if cur % 2 == 1:
+                q += 1
+                if shortcut:
+                    cur = (3 * cur + 1) // 2
+                    e += 1
+                else:
+                    cur = 3 * cur + 1
+            else:
+                cur = cur // 2
+                e += 1
+            if 3**q < 2**e and cur >= n:
+                out.append((n, j))
+    return out
+
+
+def _old_passes_through(hit, value):
+    cur = hit.n
+    for _ in range(hit.j):
+        if cur == value:
+            return True
+        cur = step(cur, hit.formalism)
+    return cur == value
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (BudgetExhausted, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_STARTS = st.integers(1, 10**5)
+_BUDGETS = st.one_of(st.integers(0, 40), st.integers(0, 400))   # low ones raise
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_STARTS, budget=_BUDGETS, formalism=st.sampled_from(Formalism))
+def test_scalar_oracles_equal_their_old_step_loops(n, budget, formalism):
+    for new, old, args in ((stopping_time, _old_stopping_time, (n, budget)),
+                           (coeff_stopping_time, _old_coeff_stopping_time, (n, budget)),
+                           (delay, _old_delay, (n, formalism, budget)),
+                           (max_excursion, _old_max_excursion, (n, budget))):
+        assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+
+
+def test_scalar_oracles_raise_like_their_old_step_loops():
+    for new, old, args in ((stopping_time, _old_stopping_time, (27, 59)),
+                           (stopping_time, _old_stopping_time, (27, 58)),
+                           (coeff_stopping_time, _old_coeff_stopping_time, (27, 58)),
+                           (coeff_stopping_time, _old_coeff_stopping_time, (27, 57)),
+                           (delay, _old_delay, (27, Formalism.CLASSIC, 110)),
+                           (delay, _old_delay, (1, Formalism.SHORTCUT, 0)),
+                           (max_excursion, _old_max_excursion, (1, 0)),
+                           (max_excursion, _old_max_excursion, (27, 69)),
+                           (stopping_time, _old_stopping_time, (0, 5))):
+        assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+    assert _outcome(coeff_stopping_time, 27, 57)[0] is BudgetExhausted
+    assert coeff_stopping_time(27, 58) == 59   # the exit is tested before the budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_STARTS, width=st.integers(0, 20), j_max=st.integers(0, 200),
+       formalism=st.sampled_from(Formalism))
+def test_naive_oracle_equals_its_old_step_loop(lo, width, j_max, formalism):
+    assert (naive_paradoxes(lo, lo + width, j_max, formalism)
+            == _old_naive_paradoxes(lo, lo + width, j_max, formalism))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_STARTS, j=st.integers(0, 200), formalism=st.sampled_from(Formalism),
+       data=st.data())
+def test_passes_through_equals_its_old_step_loop(n, j, formalism, data):
+    hit = types.SimpleNamespace(n=n, j=j, formalism=formalism)
+    iterates = trajectory(n, j, formalism).iterates
+    value = data.draw(st.one_of(st.sampled_from(iterates), st.integers(0, 10**6)))
+    assert _passes_through(hit, value) is _old_passes_through(hit, value)
 
 
 def test_hit_reconstruction_is_exact():
