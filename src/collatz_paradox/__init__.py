@@ -10,7 +10,6 @@ Diophantine machinery, all of it in exact integer arithmetic.
 __version__ = "0.1.0"
 
 from .dynamics import BudgetExhausted, Formalism, Trajectory, step, trajectory
-from .vectors import ParityVector
 from .poset import (HasseDiagram, PosetRelation, all_vectors, compare, covers,
                     hasse, check_remainder_monotonicity)
 from .bounds import (EnRatioBounds, RemainderBounds, coefficient_ceiling_q,
@@ -33,9 +32,8 @@ from .records import (BoundChainReport, IngestError, RecordEntry, RecordKind,
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
 
 __all__ = [
-    # dynamics, vectors, poset
+    # dynamics, poset
     "BudgetExhausted", "Formalism", "Trajectory", "step", "trajectory",
-    "ParityVector",
     "HasseDiagram", "PosetRelation", "all_vectors", "compare", "covers", "hasse",
     "check_remainder_monotonicity",
     # bounds

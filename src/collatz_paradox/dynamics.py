@@ -17,8 +17,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .vectors import ParityVector
-
 
 class BudgetExhausted(RuntimeError):
     """An iteration budget ran out before the walk settled.
@@ -106,9 +104,11 @@ class Trajectory:
             raise ValueError("trajectory must have at least one step")
         return self.coefficient_lt_one() and self.last() >= self.start
 
-    def parity_vector(self) -> ParityVector:
-        """Parities of the first j iterates; its ones-count is q."""
-        return ParityVector(m & 1 for m in self.iterates[:-1])
+    def parity_vector(self) -> tuple[int, ...]:
+        """Parities of the first j iterates, a tuple of 0/1 bits whose sum is q."""
+        if self.j < 1:
+            raise ValueError("parity vector must have length >= 1")
+        return tuple(m & 1 for m in self.iterates[:-1])
 
     def odd_terms(self) -> list[int]:
         """The odd iterates among the first j terms (the last one excluded)."""

@@ -1,4 +1,5 @@
-"""Unordered majorization on parity vectors.
+"""Unordered majorization on parity vectors, the tuples of 0/1 bits that
+`Trajectory.parity_vector` returns.
 
 The generating relation swaps one adjacent "01" into "10"; its transitive
 closure coincides with prefix-sum dominance between words of equal length and
@@ -14,10 +15,9 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, groupby
 
 from .dynamics import Formalism, trajectory
-from .vectors import ParityVector
 
 HASSE_DEFAULT_CAP = 16   # longest words hasse draws (edge counts explode)
 
@@ -29,19 +29,24 @@ class PosetRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def compare(v: ParityVector, w: ParityVector) -> PosetRelation:
+def _prefix_sums(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The proper prefix sums of v: the ones among its first i + 1 bits, i < len(v) - 1."""
+    return tuple(accumulate(v[:-1]))
+
+
+def compare(v: tuple[int, ...], w: tuple[int, ...]) -> PosetRelation:
     """Decide the order between two parity vectors.
 
     Words of different length or different weight are never comparable.
     Otherwise v precedes w exactly when every proper prefix sum of v is <=
-    the corresponding prefix sum of w.  The prefix sums are the ones each
-    `ParityVector` computes once, when it is made.
+    the corresponding prefix sum of w.  The prefix sums are computed on each
+    call.
     """
-    if v.q != w.q or len(v.bits) != len(w.bits):
+    if len(v) != len(w) or sum(v) != sum(w):
         return PosetRelation.INCOMPARABLE
-    if v.bits == w.bits:
+    if v == w:
         return PosetRelation.EQUAL
-    a, b = v.prefix, w.prefix
+    a, b = _prefix_sums(v), _prefix_sums(w)
     if all(map(operator.le, a, b)):
         return PosetRelation.LESS
     if all(map(operator.ge, a, b)):
@@ -49,18 +54,16 @@ def compare(v: ParityVector, w: ParityVector) -> PosetRelation:
     return PosetRelation.INCOMPARABLE
 
 
-def covers(v: ParityVector) -> set[ParityVector]:
+def covers(v: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Upper covers: every word obtained by one adjacent 01 -> 10 swap."""
     out = set()
-    bits = v.bits
-    for i in range(len(bits) - 1):
-        if bits[i] == 0 and bits[i + 1] == 1:
-            swapped = bits[:i] + (1, 0) + bits[i + 2:]
-            out.add(ParityVector(swapped))
+    for i in range(len(v) - 1):
+        if v[i] == 0 and v[i + 1] == 1:
+            out.add(v[:i] + (1, 0) + v[i + 2:])
     return out
 
 
-def up_sets(vectors: list[ParityVector]) -> list[int]:
+def up_sets(vectors: list[tuple[int, ...]]) -> list[int]:
     """Up-set of every member of one (length, weight) class, as a bitmask.
 
     Bit k of the i-th mask is set exactly when vectors[i] precedes or equals
@@ -72,11 +75,11 @@ def up_sets(vectors: list[ParityVector]) -> list[int]:
     """
     if not vectors:
         return []
-    j, q = len(vectors[0]), vectors[0].q
-    if any(len(v) != j or v.q != q for v in vectors):
+    j, q = len(vectors[0]), sum(vectors[0])
+    if any(len(v) != j or sum(v) != q for v in vectors):
         raise ValueError("up_sets needs vectors of one length and one weight")
     ups = [(1 << len(vectors)) - 1] * len(vectors)
-    for column in zip(*(v.prefix for v in vectors)):
+    for column in zip(*map(_prefix_sums, vectors)):
         at_least = [0] * (q + 2)
         for k, s in enumerate(column):
             at_least[s] |= 1 << k
@@ -86,7 +89,7 @@ def up_sets(vectors: list[ParityVector]) -> list[int]:
     return ups
 
 
-def all_vectors(j: int, q: int) -> list[ParityVector]:
+def all_vectors(j: int, q: int) -> list[tuple[int, ...]]:
     """All words of length j with q ones, in lexicographic order."""
     if not 0 <= q <= j:
         raise ValueError("need 0 <= q <= j")
@@ -95,9 +98,18 @@ def all_vectors(j: int, q: int) -> list[ParityVector]:
         bits = [0] * j
         for i in ones:
             bits[i] = 1
-        out.append(ParityVector(bits))
-    out.sort(key=lambda v: v.bits)
+        out.append(tuple(bits))
+    out.sort()
     return out
+
+
+def run_length(v: tuple[int, ...]) -> str:
+    """Compact display: runs abbreviated with ^, e.g. "1^2 0^3 1"."""
+    parts = []
+    for bit, run in groupby(v):
+        n = len(list(run))
+        parts.append(f"{bit}^{n}" if n > 1 else f"{bit}")
+    return " ".join(parts)
 
 
 @dataclass
@@ -106,7 +118,7 @@ class HasseDiagram:
 
     j: int
     q: int
-    nodes: list[ParityVector]
+    nodes: list[tuple[int, ...]]
     edges: list[tuple[int, int]] = field(default_factory=list)  # (lower, upper) node indices
 
     @property
@@ -128,7 +140,7 @@ class HasseDiagram:
         lines = [f'digraph {name} {{']
         lines.append('  rankdir=BT;')
         for i, v in enumerate(self.nodes):
-            lines.append(f'  n{i} [label="{v.run_length()}"];')
+            lines.append(f'  n{i} [label="{run_length(v)}"];')
         for a, b in sorted(self.edges):
             lines.append(f'  n{a} -> n{b};')
         lines.append("}")
@@ -175,16 +187,16 @@ def check_remainder_monotonicity(j: int,
     # v -> (n, E numerator), one residue per vector: the remainder depends on
     # the parity vector alone, and all remainders of one weight q share the
     # denominator 2**e, e = j on the shortcut map and j - q on the classic map
-    by_vector: dict[ParityVector, tuple[int, int]] = {}
+    by_vector: dict[tuple[int, ...], tuple[int, int]] = {}
     for n in range(1, 2**j + 1):
         t = trajectory(n, j, formalism)
         by_vector[t.parity_vector()] = (n, t.e_num)
 
     violations = []
     checked = 0
-    by_weight: dict[int, list[tuple[ParityVector, int, int]]] = {}
+    by_weight: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
     for v, (n, num) in by_vector.items():
-        by_weight.setdefault(v.q, []).append((v, n, num))
+        by_weight.setdefault(sum(v), []).append((v, n, num))
     for members in by_weight.values():
         ups = up_sets([v for v, _, _ in members])
         # at_least[num]: the members whose numerator is >= num

@@ -4,8 +4,10 @@ The range splits into fixed-size blocks handed to a process pool, and the
 collector merges per-block results in block order, so the output is
 identical for any worker count.  The workers share one thing: the excursion
 memo of the scan, a shared mapping made before they fork, which they fill
-in block order under one lock, so each entry is built once per run.  A
-block that raises ends the run; blocks not yet started are cancelled.  After
+in block order under one lock, so each entry is built once per run.  At
+most twice as many blocks as workers are submitted and not yet collected,
+and no more workers fork than there are blocks to run.  A block that raises
+ends the run; blocks not yet started are cancelled.  After
 every finished block the checkpoint file is rewritten atomically
 (write-to-temp, fsync, rename); a run killed at any point resumes from the
 surviving checkpoint and produces the same bytes as an uninterrupted run.
@@ -21,6 +23,7 @@ Checkpoint format (plain text, one key=value per line):
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -179,6 +182,21 @@ def _scan_block_task(args: tuple[int, int, Formalism, int]) -> list[tuple[int, i
     return scan_paradoxes(lo, hi, formalism, budget)
 
 
+def _in_order(pool, tasks, window: int):
+    """Yield (index, pairs) for the (index, args) tasks in their order, with
+    at most `window` of them submitted to the pool and not yet collected."""
+    queue = collections.deque()
+    for idx, args in tasks:
+        if len(queue) == window:
+            first, future = queue.popleft()
+            yield first, future.result()
+        # By its module-level name, so that the pool pickles it as such.
+        queue.append((idx, pool.submit(_scan_block_task, args)))
+    while queue:
+        first, future = queue.popleft()
+        yield first, future.result()
+
+
 def run_search(cfg: SearchConfig, threads: int = 1,
                checkpoint: str | Path | None = None,
                max_blocks: int | None = None) -> SearchResult:
@@ -197,16 +215,17 @@ def run_search(cfg: SearchConfig, threads: int = 1,
     path = None if checkpoint is None else Path(checkpoint)
     done = {} if path is None else _load_checkpoint(path, cfg)
 
-    # Blocks are made as they are taken, so max_blocks bounds how many exist.
-    pending = (b for b in blocks if b[0] not in done)
+    # Blocks are made as they are taken, so only the blocks run ever exist.
+    todo = len(blocks) - len(done)
     if max_blocks is not None:
-        pending = itertools.islice(pending, max_blocks)
-    head = list(itertools.islice(pending, 2))
-    pending, queued = itertools.tee(itertools.chain(head, pending))
-    tasks = ((lo, hi, cfg.formalism, cfg.budget) for _, lo, hi in queued)
+        todo = min(todo, max_blocks)
+    pending = itertools.islice((b for b in blocks if b[0] not in done), todo)
+    tasks = ((idx, (lo, hi, cfg.formalism, cfg.budget)) for idx, lo, hi in pending)
+    # A fork pool starts all of its workers at the first submit.
+    workers = min(threads, todo)
     with contextlib.ExitStack() as stack:
-        if threads == 1 or len(head) <= 1:
-            results = map(_scan_block_task, tasks)
+        if workers <= 1:
+            results = ((idx, _scan_block_task(args)) for idx, args in tasks)
         else:
             # Imported here, so that a serial run loads neither module.  The
             # workers fork, so that they inherit the process memo and the
@@ -217,14 +236,14 @@ def run_search(cfg: SearchConfig, threads: int = 1,
             stack.enter_context(search.memo_shared_by_forks(ctx.Lock()))
             # The workers ignore SIGINT, so a Ctrl-C to the process group
             # kills none inside the call queue or holding the memo lock.
-            # Executor.map submits every task at once; leaving the pool, by
-            # an error or a Ctrl-C too, cancels the blocks not yet started.
+            # Leaving the pool, by an error or a Ctrl-C too, cancels the
+            # blocks submitted and not yet started.
             pool = futures.ProcessPoolExecutor(
-                max_workers=threads, mp_context=ctx, initializer=signal.signal,
+                max_workers=workers, mp_context=ctx, initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN))
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_scan_block_task, tasks)
-        for (idx, _, _), pairs in zip(pending, results):
+            results = _in_order(pool, tasks, 2 * workers)
+        for idx, pairs in results:
             done[idx] = pairs
             if path is not None:
                 _write_checkpoint(path, cfg, done)

@@ -159,6 +159,17 @@ def test_poset_command(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("j, q, digest", [
+    ("4", "2", "6e7307f7b376d167c23e3e9c83e74c418463cba0c637e7692f1d1b7a5fd0efbd"),
+    ("6", "3", "7f05dfa15e0f36601e9d910559466a75d549217772bdd64f7da3f4fde6e4a837"),
+], ids=["4-2", "6-3"])
+def test_poset_dot_bytes_are_pinned(j, q, digest, tmp_path):
+    # node order, run-length labels and edge order all show in the bytes
+    dot = tmp_path / "h.dot"
+    assert main(["poset", j, q, "--out", str(dot)]) == EXIT_OK
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+
 def test_bounds_subqueries(capsys):
     assert main(["bounds", "convergents", "7"]) == EXIT_OK
     assert "41/65" in capsys.readouterr().out

@@ -8,31 +8,30 @@ from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.poset import (HASSE_DEFAULT_CAP, HasseDiagram, MonotonicityReport,
                                    PosetRelation, all_vectors,
                                    check_remainder_monotonicity, compare, covers, hasse,
-                                   up_sets)
-from collatz_paradox.vectors import ParityVector
+                                   run_length, up_sets)
 
 
-def V(bits: str) -> ParityVector:
-    return ParityVector(int(c) for c in bits)
+def V(bits: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in bits)
 
 
-def word(v: ParityVector) -> str:
-    return "".join(map(str, v.bits))
+def word(v: tuple[int, ...]) -> str:
+    return "".join(map(str, v))
 
 
-def sources(d) -> list[ParityVector]:
+def sources(d) -> list[tuple[int, ...]]:
     has_in = {b for _, b in d.edges}
     return [v for i, v in enumerate(d.nodes) if i not in has_in]
 
 
-def sinks(d) -> list[ParityVector]:
+def sinks(d) -> list[tuple[int, ...]]:
     has_out = {a for a, _ in d.edges}
     return [v for i, v in enumerate(d.nodes) if i not in has_out]
 
 
 def edges_rise_in_lex_order(d) -> bool:
     # so the cover graph has no cycle
-    return all(d.nodes[a].bits < d.nodes[b].bits for a, b in d.edges)
+    return all(d.nodes[a] < d.nodes[b] for a, b in d.edges)
 
 
 def test_compare_published_examples():
@@ -45,15 +44,15 @@ def test_compare_published_examples():
     assert compare(V("0110"), V("0110")) is PosetRelation.EQUAL
 
 
-def _compare_by_walk(v: ParityVector, w: ParityVector) -> PosetRelation:
+def _compare_by_walk(v: tuple[int, ...], w: tuple[int, ...]) -> PosetRelation:
     # running prefix sums of both words, built on every call
-    if len(v) != len(w) or v.q != w.q:
+    if len(v) != len(w) or sum(v) != sum(w):
         return PosetRelation.INCOMPARABLE
-    if v.bits == w.bits:
+    if v == w:
         return PosetRelation.EQUAL
     le = ge = True
     a = b = 0
-    for x, y in zip(v.bits[:-1], w.bits[:-1]):
+    for x, y in zip(v[:-1], w[:-1]):
         a += x
         b += y
         if a > b:
@@ -68,7 +67,7 @@ def _compare_by_walk(v: ParityVector, w: ParityVector) -> PosetRelation:
 
 
 def test_compare_equals_the_prefix_sum_walk():
-    words = [ParityVector(bits) for j in range(1, 9) for bits in product((0, 1), repeat=j)]
+    words = [bits for j in range(1, 9) for bits in product((0, 1), repeat=j)]
     for v in words:
         for w in words:
             assert compare(v, w) is _compare_by_walk(v, w), (v, w)
@@ -173,7 +172,7 @@ def test_less_is_consistent_with_lex_order():
         for q in range(j + 1):
             for a, b in combinations(all_vectors(j, q), 2):
                 if compare(a, b) is PosetRelation.LESS:
-                    assert a.bits < b.bits
+                    assert a < b
 
 
 def test_hasse_edges_are_the_transitive_reduction():
@@ -206,7 +205,7 @@ def _monotonicity_by_compare(j, formalism):
         by_vector[t.parity_vector()] = (n, t.e_num)
     by_weight = {}
     for v, (n, num) in by_vector.items():
-        by_weight.setdefault(v.q, []).append((v, n, num))
+        by_weight.setdefault(sum(v), []).append((v, n, num))
     checked = 0
     violations = []
     for members in by_weight.values():
@@ -300,3 +299,9 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert '"0^2 1"' in dot and '"1 0^2"' in dot
     assert dot.count("->") == 2
+
+
+def test_run_length_display():
+    assert run_length((1, 1, 0, 0, 0, 1)) == "1^2 0^3 1"
+    assert run_length((0, 1, 1, 0)) == "0 1^2 0"
+    assert run_length((1,)) == "1"

@@ -1,9 +1,11 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,79 @@ def test_failing_block_ends_the_pool_run_promptly(tmp_path, monkeypatch):
         run_search(cfg, threads=2)
     # Only the blocks already handed to a worker still run.
     assert len(list(tmp_path.iterdir())) < len(cfg.blocks()) - 1
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: a task runs when its result is
+    collected.  Records the worker count and the peak number of tasks
+    submitted and not yet collected."""
+
+    made: list["_InProcessPool"] = []
+
+    def __init__(self, max_workers, **_):
+        self.max_workers = max_workers
+        self.submitted = self.outstanding = self.peak = 0
+        self.made.append(self)
+
+    def submit(self, fn, *args):
+        assert fn is runner._scan_block_task   # by its module-level name
+        self.submitted += 1
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        return types.SimpleNamespace(result=functools.partial(self._collect, fn, args))
+
+    def _collect(self, fn, args):
+        self.outstanding -= 1
+        return fn(*args)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    return _InProcessPool.made
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pool_keeps_at_most_two_blocks_per_worker_submitted(in_process_pool, threads):
+    cfg = SearchConfig(3, 3 + 40 * 64 - 1, Formalism.CLASSIC, block_size=64)
+    pooled = run_search(cfg, threads=threads)
+    [pool] = in_process_pool
+    assert pool.max_workers == threads and pool.submitted == 40
+    assert pool.peak <= 2 * threads
+    assert pooled.pairs == run_search(cfg, threads=1).pairs
+
+
+def test_pool_of_many_blocks_submits_them_as_it_collects(in_process_pool, monkeypatch):
+    # 10^12 blocks and the tenth one fails: only a window past it was submitted
+    def tenth_fails(args):
+        if args[0] >= 3 + 9 * 1000:
+            raise RuntimeError("tenth block failed")
+        return []
+
+    monkeypatch.setattr(runner, "_scan_block_task", tenth_fails)
+    with pytest.raises(RuntimeError, match="tenth block failed"):
+        run_search(SearchConfig(3, 10**15, block_size=1000), threads=2)
+    [pool] = in_process_pool
+    assert pool.submitted <= 10 + 2 * 2
+
+
+@pytest.mark.parametrize("done, max_blocks, ran, workers", [
+    (0, None, 5, 5), (0, 3, 3, 3), (2, None, 3, 3), (2, 1, 1, None), (5, None, 0, None)])
+def test_pool_forks_no_more_workers_than_blocks_to_run(in_process_pool, tmp_path,
+                                                       done, max_blocks, ran, workers):
+    # 5 blocks, `done` of them in the checkpoint; one block or none runs serially
+    cfg = SearchConfig(3, 3 + 5 * 64 - 1, block_size=64)
+    ck = tmp_path / "ck.txt"
+    run_search(cfg, checkpoint=ck, max_blocks=done)
+    result = run_search(cfg, threads=8, checkpoint=ck, max_blocks=max_blocks)
+    assert [pool.max_workers for pool in in_process_pool] == ([workers] if workers else [])
+    assert result.blocks_done == done + ran
+    assert run_search(cfg, checkpoint=ck).pairs == run_search(cfg).pairs
 
 
 def test_checkpoint_is_fsynced_before_each_rename(tmp_path, monkeypatch):
