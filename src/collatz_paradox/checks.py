@@ -56,6 +56,8 @@ class CheckResult:
 class Scoreboard:
     def __init__(self, threads: int = 4, null_hi: int = 10**6,
                  refs_dir=None, log: Callable[[str], None] | None = None):
+        if null_hi < 4615:   # the null window is 4615..null_hi
+            raise ValueError(f"null window upper end must be >= 4615, got {null_hi}")
         self.threads = threads
         self.null_hi = null_hi
         self.refs_dir = refs_dir

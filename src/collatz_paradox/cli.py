@@ -271,8 +271,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except KeyboardInterrupt:
-        # A search checkpoint is rewritten atomically after each block, so
-        # the one on disk holds every block finished before the interrupt.
+        # Each finished block is appended to the search checkpoint and
+        # fsynced, so the one on disk holds every block finished before the
+        # interrupt; a record torn by it is dropped when the search resumes.
         checkpoint = getattr(args, "checkpoint", None)
         print("interrupted" + (f"; resume from checkpoint {checkpoint}" if checkpoint else ""),
               file=sys.stderr)

@@ -7,18 +7,27 @@ memo of the scan, a shared mapping made before they fork, which they fill
 in block order under one lock, so each entry is built once per run.  At
 most twice as many blocks as workers are submitted and not yet collected,
 and no more workers fork than there are blocks to run.  A block that raises
-ends the run; blocks not yet started are cancelled.  After
-every finished block the checkpoint file is rewritten atomically
-(write-to-temp, fsync, rename); a run killed at any point resumes from the
-surviving checkpoint and produces the same bytes as an uninterrupted run.
+ends the run; blocks not yet started are cancelled.
+
+The checkpoint is an append-only journal.  A new one gets its header, is
+fsynced, and its directory is fsynced once, all before the first block runs.
+Each finished block then appends its record in one write and fsyncs it.  A
+run killed at any point resumes from the journal on disk and produces the
+same bytes as an uninterrupted run.
 
 Checkpoint format (plain text, one key=value per line):
 
-    version=1
+    version=2
     digest=<sha256 of the search parameters>
     lo=3 hi=1000000 ... (one per line, informational)
-    done=<block index>          (one line per completed block)
-    hit=<block>,<n>,<j>         (one line per hit found in that block)
+    hit=<block>,<n>,<j>         (a block's record: one line per hit found in it,
+    done=<block>                 then its index)
+
+A kill can tear the last record.  Its unterminated last line is dropped on
+load and cut off before the resume appends; hit lines that a torn record
+left complete are repeated when that block runs again, and count once.
+Version 1 files (all done= lines before all hit= lines) still resume; they
+gain version 2 records.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ import hashlib
 import itertools
 import os
 import signal
-import tempfile
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -103,21 +111,23 @@ class CheckpointMismatch(ValueError):
 
 
 class CheckpointCorrupt(ValueError):
-    """A checkpoint file that cannot be read as a version-1 checkpoint."""
+    """A checkpoint file that cannot be read as a version 1 or 2 checkpoint."""
 
 
-def _load_checkpoint(path: Path, cfg: SearchConfig) -> dict[int, list[tuple[int, int]]]:
-    """The finished blocks of a checkpoint (none if it does not exist), with
-    their sorted hit pairs."""
-    if not path.exists():
-        return {}
-    done: set[int] = set()
-    hits: dict[int, list[tuple[int, int]]] = {}
-    blocks: list[tuple[int, int]] = []   # (line, block index) of each done= and hit=
+def _load_checkpoint(path: Path, cfg: SearchConfig) -> tuple[dict[int, list[tuple[int, int]]], int]:
+    """The finished blocks of the checkpoint at path, with their sorted hit
+    pairs, and the length in bytes of its complete lines."""
+    records: list[tuple[int, str, int]] = []   # (line, key, block index) of each done= and hit=
+    hits: dict[int, set[tuple[int, int]]] = {}
     version = digest = None
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    length = lineno = 0
+    with path.open("rb") as fh:
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                break   # the unterminated tail of a torn record
+            length += len(raw)
+            lineno += 1
+            line = raw.decode(errors="replace").strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
@@ -127,52 +137,64 @@ def _load_checkpoint(path: Path, cfg: SearchConfig) -> dict[int, list[tuple[int,
                 elif key == "digest":
                     digest = val
                 elif key == "done":
-                    done.add(int(val))
-                    blocks.append((lineno, int(val)))
+                    records.append((lineno, key, int(val)))
                 elif key == "hit":
                     b, n, j = (int(x) for x in val.split(","))
-                    hits.setdefault(b, []).append((n, j))
-                    blocks.append((lineno, b))
+                    hits.setdefault(b, set()).add((n, j))
+                    records.append((lineno, key, b))
             except ValueError:
                 raise CheckpointCorrupt(f"{path}:{lineno}: cannot parse {line!r}") from None
-    if version != "1":
-        raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 1")
+    if version is None or digest is None:
+        raise CheckpointCorrupt(f"{path}:{lineno + 1}: no version= or digest= line")
+    if version not in ("1", "2"):
+        raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 2")
     if digest != cfg.digest():
         raise CheckpointMismatch(f"{path} belongs to a different search configuration")
     count = len(cfg.blocks())
-    for lineno, b in blocks:
+    done: dict[int, list[tuple[int, int]]] = {}
+    for lineno, key, b in records:
         if not 0 <= b < count:
             raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is not one of the "
                                     f"{count} blocks of this search")
-    return {b: sorted(hits.get(b, [])) for b in done}
+        if key == "done":
+            if b in done:
+                raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is done twice")
+            done[b] = sorted(hits.get(b, ()))
+    return done, length
 
 
-def _write_checkpoint(path: Path, cfg: SearchConfig,
-                      done: dict[int, list[tuple[int, int]]]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or Path(".")),
-                               prefix=path.name, suffix=".tmp")
+def _append(journal, text: str) -> None:
+    """Write text to the unbuffered journal in full, then fsync it."""
+    data = text.encode()
+    while data:
+        data = data[journal.write(data):]
+    os.fsync(journal.fileno())
+
+
+def _open_journal(path: Path, cfg: SearchConfig):
+    """The unbuffered journal at path, open for appending, and its finished
+    blocks.  A new journal gets its header, fsynced with its directory; an
+    old one loses its torn tail."""
+    if path.exists():
+        done, length = _load_checkpoint(path, cfg)
+        journal = path.open("ab", buffering=0)
+        journal.truncate(length)
+        return journal, done
+    journal = path.open("xb", buffering=0)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write("# collatz-paradox search checkpoint\n")
-            fh.write("version=1\n")
-            fh.write(f"digest={cfg.digest()}\n")
-            fh.write(f"lo={cfg.lo}\nhi={cfg.hi}\n")
-            fh.write(f"formalism={cfg.formalism.value}\n")
-            fh.write(f"budget={cfg.budget}\nblock_size={cfg.block_size}\n")
-            for b in sorted(done):
-                fh.write(f"done={b}\n")
-            for b in sorted(done):
-                for n, j in done[b]:
-                    fh.write(f"hit={b},{n},{j}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        _append(journal, "# collatz-paradox search checkpoint\n"
+                         f"version=2\ndigest={cfg.digest()}\n"
+                         f"lo={cfg.lo}\nhi={cfg.hi}\nformalism={cfg.formalism.value}\n"
+                         f"budget={cfg.budget}\nblock_size={cfg.block_size}\n")
+        directory = os.open(path.parent, os.O_RDONLY)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+    except BaseException:
+        journal.close()
         raise
+    return journal, {}
 
 
 def _scan_block_task(args: tuple[int, int, Formalism, int]) -> list[tuple[int, int]]:
@@ -212,24 +234,27 @@ def run_search(cfg: SearchConfig, threads: int = 1,
     if max_blocks is not None and max_blocks < 0:
         raise ValueError(f"max blocks must be >= 0, got {max_blocks}")
     blocks = cfg.blocks()
-    path = None if checkpoint is None else Path(checkpoint)
-    done = {} if path is None else _load_checkpoint(path, cfg)
-
-    # Blocks are made as they are taken, so only the blocks run ever exist.
-    todo = len(blocks) - len(done)
-    if max_blocks is not None:
-        todo = min(todo, max_blocks)
-    pending = itertools.islice((b for b in blocks if b[0] not in done), todo)
-    tasks = ((idx, (lo, hi, cfg.formalism, cfg.budget)) for idx, lo, hi in pending)
-    # A fork pool starts all of its workers at the first submit.
-    workers = min(threads, todo)
     with contextlib.ExitStack() as stack:
+        journal, done = None, {}
+        if checkpoint is not None:
+            journal, done = _open_journal(Path(checkpoint), cfg)
+            stack.enter_context(journal)
+
+        # Blocks are made as they are taken, so only the blocks run ever exist.
+        todo = len(blocks) - len(done)
+        if max_blocks is not None:
+            todo = min(todo, max_blocks)
+        pending = itertools.islice((b for b in blocks if b[0] not in done), todo)
+        tasks = ((idx, (lo, hi, cfg.formalism, cfg.budget)) for idx, lo, hi in pending)
+        # A fork pool starts all of its workers at the first submit.
+        workers = min(threads, todo)
         if workers <= 1:
             results = ((idx, _scan_block_task(args)) for idx, args in tasks)
         else:
             # Imported here, so that a serial run loads neither module.  The
             # workers fork, so that they inherit the process memo and the
-            # jump table.
+            # jump table; the journal is unbuffered, so they inherit none of
+            # its data.
             import multiprocessing
             from concurrent import futures
             ctx = multiprocessing.get_context("fork")
@@ -245,8 +270,9 @@ def run_search(cfg: SearchConfig, threads: int = 1,
             results = _in_order(pool, tasks, 2 * workers)
         for idx, pairs in results:
             done[idx] = pairs
-            if path is not None:
-                _write_checkpoint(path, cfg, done)
+            if journal is not None:
+                _append(journal, "".join(f"hit={idx},{n},{j}\n" for n, j in pairs)
+                        + f"done={idx}\n")
 
     complete = len(done) == len(blocks)
     pairs = sorted(p for block in done.values() for p in block) if complete else []

@@ -325,6 +325,16 @@ def test_ctrl_c_leaves_a_resumable_checkpoint(tmp_path):
     assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+def test_check_refuses_a_null_window_below_4615_before_any_search(capsys):
+    # the null window is 4615..N, so a lower N is refused before the census searches
+    t0 = time.monotonic()
+    assert main(["check", "--threads", "2", "--null-hi", "100"]) == EXIT_FAIL
+    assert time.monotonic() - t0 < 1
+    out, err = capsys.readouterr()
+    assert "[search" not in out
+    assert err == "error: null window upper end must be >= 4615, got 100\n"
+
+
 def test_usage_without_command(capsys):
     assert main([]) == 2
 

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -112,19 +113,23 @@ def test_pool_forks_no_more_workers_than_blocks_to_run(in_process_pool, tmp_path
     assert run_search(cfg, checkpoint=ck).pairs == run_search(cfg).pairs
 
 
-def test_checkpoint_is_fsynced_before_each_rename(tmp_path, monkeypatch):
+def test_journal_fsyncs_once_per_block_and_its_directory_once(tmp_path, monkeypatch):
     events = []
+    real_fsync = os.fsync
 
-    def spy(name, real):
-        def call(*args):
-            events.append(name)
-            return real(*args)
-        return call
+    def fsync(fd):   # logs the last line that each file fsync makes durable
+        events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                      else ck.read_text().splitlines()[-1])
+        real_fsync(fd)
 
-    monkeypatch.setattr(os, "fsync", spy("fsync", os.fsync))
-    monkeypatch.setattr(os, "replace", spy("replace", os.replace))
-    run_search(SearchConfig(3, 100, block_size=50), checkpoint=tmp_path / "ck.txt")
-    assert events == ["fsync", "replace"] * 2
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", lambda *args: events.append("replace"))
+    cfg, ck = SearchConfig(3, 200, block_size=50), tmp_path / "ck.txt"
+    run_search(cfg, checkpoint=ck, max_blocks=1)
+    assert events == ["block_size=50", "dir", "done=0"]   # the header, its directory, a block
+    events.clear()
+    assert run_search(cfg, checkpoint=ck).complete
+    assert events == ["done=1", "done=2", "done=3"]
 
 
 def _partial_checkpoint(tmp_path) -> tuple[SearchConfig, Path]:
@@ -136,8 +141,8 @@ def _partial_checkpoint(tmp_path) -> tuple[SearchConfig, Path]:
 
 def test_checkpoint_with_another_version_is_rejected(tmp_path):
     cfg, ck = _partial_checkpoint(tmp_path)
-    ck.write_text(ck.read_text().replace("version=1\n", "version=2\n"))
-    with pytest.raises(CheckpointCorrupt, match="version 2"):
+    ck.write_text(ck.read_text().replace("version=2\n", "version=3\n"))
+    with pytest.raises(CheckpointCorrupt, match="version 3"):
         run_search(cfg, checkpoint=ck)
 
 
@@ -161,6 +166,103 @@ def test_checkpoint_block_outside_the_search_names_file_and_line(tmp_path, line)
     ck.write_text("\n".join(lines + [line]) + "\n")
     with pytest.raises(CheckpointCorrupt, match=f"{ck}:{len(lines) + 1}: block "):
         run_search(cfg, checkpoint=ck)
+
+
+def test_a_block_done_twice_names_file_and_line(tmp_path):
+    cfg, ck = _partial_checkpoint(tmp_path)
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines + ["done=0"]) + "\n")
+    with pytest.raises(CheckpointCorrupt, match=f"{ck}:{len(lines) + 1}: block 0 is done twice"):
+        run_search(cfg, checkpoint=ck)
+
+
+# 5 blocks, each with hits
+_JOURNALED = SearchConfig(3, 200, Formalism.CLASSIC, block_size=40)
+
+
+def test_a_journal_cut_at_any_byte_resumes_or_is_refused(tmp_path):
+    whole = run_search(_JOURNALED)
+    full = tmp_path / "full.txt"
+    run_search(_JOURNALED, checkpoint=full)
+    data, (finished, _) = full.read_bytes(), runner._load_checkpoint(full, _JOURNALED)
+    digest_end = data.index(b"\n", data.index(b"digest=")) + 1
+    ck = tmp_path / "ck.txt"
+    for cut in range(len(data) + 1):
+        ck.write_bytes(data[:cut])
+        if cut < digest_end:
+            with pytest.raises(CheckpointCorrupt):
+                run_search(_JOURNALED, checkpoint=ck)
+            continue
+        resumed = run_search(_JOURNALED, checkpoint=ck)
+        assert resumed.complete and resumed.pairs == whole.pairs, cut
+        assert runner._load_checkpoint(ck, _JOURNALED)[0] == finished
+    for cut, line in ((0, 1), (data.index(b"digest="), 3)):
+        ck.write_bytes(data[:cut])
+        with pytest.raises(CheckpointCorrupt, match=f"{ck}:{line}: no version= or digest= line"):
+            run_search(_JOURNALED, checkpoint=ck)
+
+
+def test_a_resume_appends_to_the_same_file(tmp_path):
+    ck = tmp_path / "ck.txt"
+    run_search(_JOURNALED, checkpoint=ck, max_blocks=2)
+    before, inode = ck.read_bytes(), ck.stat().st_ino
+    assert run_search(_JOURNALED, checkpoint=ck).complete
+    assert ck.read_bytes().startswith(before) and ck.stat().st_ino == inode
+
+
+# The layout that version 1 rewrote after every block: the done= lines, then
+# the hit= lines, each in block order.
+_VERSION_1 = """\
+# collatz-paradox search checkpoint
+version=1
+digest=d4aca12c638f24670cac761a7fa1dd5d016efac6449fd3e1177c222fd0c2d48e
+lo=3
+hi=200
+formalism=classic
+budget=1000000
+block_size=40
+done=0
+done=2
+hit=0,7,13
+hit=0,9,13
+hit=0,14,13
+hit=0,15,13
+hit=0,18,13
+hit=0,19,13
+hit=0,25,13
+hit=0,33,13
+hit=0,36,13
+hit=0,37,13
+hit=0,38,13
+hit=0,39,26
+hit=2,91,75
+hit=2,97,106
+hit=2,103,75
+hit=2,121,75
+"""
+
+
+def test_a_version_1_checkpoint_resumes(tmp_path):
+    ck = tmp_path / "ck.txt"
+    ck.write_text(_VERSION_1)
+    resumed = run_search(_JOURNALED, checkpoint=ck, max_blocks=0)
+    assert resumed.blocks_done == 2
+    assert run_search(_JOURNALED, checkpoint=ck).pairs == run_search(_JOURNALED).pairs
+    assert ck.read_text().startswith(_VERSION_1)
+
+
+@pytest.mark.parametrize("max_blocks", [[], ["--max-blocks", "0"]])
+def test_a_checkpoint_in_a_missing_directory_fails_before_any_block(
+        tmp_path, monkeypatch, capsys, max_blocks):
+    # the journal is created before any block runs, so that a run never
+    # scans for a checkpoint it cannot write
+    ran = []
+    monkeypatch.setattr(runner, "_scan_block_task", ran.append)
+    ck = tmp_path / "nodir" / "ck.txt"
+    rc = main(["search", "--range", "3..300000", "--checkpoint", str(ck), *max_blocks])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_FAIL and ran == [] and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(ck)!r}\n"
 
 
 def test_cli_reports_a_corrupt_checkpoint(tmp_path, capsys):
