@@ -131,7 +131,8 @@ def ones_ratio_window(traj: Trajectory) -> bool:
     """Necessary window for the odd-step density of a paradoxical trajectory.
 
     Right side: 3**q < 2**e.  Left side: 2**e <= (3 + 1/h)**q, evaluated as
-    2**e * hn**q <= (3*hn + hd)**q with h = hn/hd in lowest terms.
+    2**e * hn**q <= (3*hn + hd)**q with h = hn/hd in lowest terms; it is
+    upper >= lower of en_ratio_bounds(traj).
     """
     q, e = traj.q, traj.e
     if q < 1:

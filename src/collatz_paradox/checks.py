@@ -211,7 +211,10 @@ class Scoreboard:
             for h in self.search(f, self.threads).hits():
                 t = trajectory(h.n, h.j, f)
                 er = B.en_ratio_bounds(t)
-                if not (er.lower_holds and er.upper_holds and B.ones_ratio_window(t)):
+                # the ones-ratio window, from the same harmonic mean: its left
+                # side 2**e <= (3 + 1/h)**q is upper >= lower
+                window = t.coefficient_lt_one() and er.upper >= er.lower
+                if not (er.lower_holds and er.upper_holds and window):
                     bad += 1
                 checked += 1
         return CheckResult("E/n bounds and ones-ratio window on every hit",

@@ -4,6 +4,10 @@ Numeric output that feeds any comparison is exact (integer pairs); decimal
 columns are renderings controlled by --decimals.  Identical invocations write
 byte-identical files once the timestamp header is suppressed with
 --no-timestamp.
+
+Each command imports the modules it runs in its handler, so a search or a
+CST check loads none of the bound, Diophantine, poset, record or scoreboard
+modules.
 """
 
 from __future__ import annotations
@@ -14,15 +18,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from . import bounds as B
-from . import numtheory as NT
 from .dynamics import BudgetExhausted, Formalism
-from .census import render_census, census
-from .checks import Scoreboard
-from .poset import hasse
 from .precision import Undecided
-from .records import (RecordKind, compute_records, ingest_reference_records,
-                      reference_path, theorem5_bound_chain, IngestError)
 from .runner import (DEFAULT_BLOCK_SIZE, SearchConfig, hits_csv_text, run_search,
                      write_text)
 from .search import DEFAULT_BUDGET, verify_cst
@@ -64,6 +61,16 @@ def parse_range(s: str) -> tuple[int, int]:
     if not sep:
         raise argparse.ArgumentTypeError("range must look like A..B")
     return parse_bound(lo), parse_bound(hi)
+
+
+def _record_kind(name: str):
+    from .records import RecordKind
+    return RecordKind.parse(name)
+
+
+# argparse names a rejected value after its type's __name__; this keeps the
+# message RecordKind.parse gave ("invalid parse value").
+_record_kind.__name__ = "parse"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
             bp.add_argument(dest, type=kind, metavar=dest.upper())
 
     pr = sub.add_parser("records", help="compute record tables and compare to references")
-    pr.add_argument("--kind", type=RecordKind.parse, required=True,
+    pr.add_argument("--kind", type=_record_kind, required=True,
                     metavar="delay-t|delay-col|max-excursion-t")
     pr.add_argument("--range", type=parse_range, required=True, metavar="1..N")
     pr.add_argument("--refs", metavar="DIR")
@@ -135,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_search(args) -> int:
+    from .census import census, render_census
     lo, hi = args.range
     cfg = SearchConfig(lo, hi, args.formalism, args.budget, args.block_size)
     result = run_search(cfg, threads=args.threads, checkpoint=args.checkpoint,
@@ -172,6 +180,7 @@ def cmd_cst(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .poset import hasse
     diagram = hasse(args.j, args.q)
     dot = diagram.to_dot(f"hasse_{args.j}_{args.q}")
     if args.out:
@@ -183,6 +192,10 @@ def cmd_poset(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as B
+    from . import numtheory as NT
+    from .records import (RecordKind, ingest_reference_records, reference_path,
+                          theorem5_bound_chain)
     q = args.subquery
     if q == "chain":
         mex, delays = (ingest_reference_records(kind, reference_path(kind, args.refs))
@@ -217,6 +230,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_records(args) -> int:
+    from .records import IngestError, compute_records, ingest_reference_records, reference_path
     lo, hi = args.range
     if lo != 1:
         print("record scans start at 1", file=sys.stderr)
@@ -240,6 +254,7 @@ def cmd_records(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import Scoreboard
     results = Scoreboard(args.threads, args.null_hi, args.refs, print).run_all()
     for r in results:   # timings vary between runs, so they stay off stdout
         print(f"{r.seconds:8.2f} s  {r.name}", file=sys.stderr)
@@ -267,7 +282,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (Undecided, IngestError, ValueError, OSError) as exc:
+    except (Undecided, ValueError, OSError) as exc:   # records.IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except KeyboardInterrupt:

@@ -17,17 +17,19 @@ same bytes as an uninterrupted run.
 
 Checkpoint format (plain text, one key=value per line):
 
-    version=2
+    version=3
     digest=<sha256 of the search parameters>
     lo=3 hi=1000000 ... (one per line, informational)
     hit=<block>,<n>,<j>         (a block's record: one line per hit found in it,
-    done=<block>                 then its index)
+    done=<block>,<hits>          then its index and its hit count)
 
 A kill can tear the last record.  Its unterminated last line is dropped on
 load and cut off before the resume appends; hit lines that a torn record
-left complete are repeated when that block runs again, and count once.
-Version 1 files (all done= lines before all hit= lines) still resume; they
-gain version 2 records.
+left complete are repeated when that block runs again, and count once.  A
+done block whose distinct hit lines do not number its hit count (a lost or
+an added hit line) is refused.  Version 2 files (done=<block>, no count) and
+version 1 files (all done= lines before all hit= lines) still resume,
+unchecked; they gain version 3 records.
 """
 
 from __future__ import annotations
@@ -111,13 +113,15 @@ class CheckpointMismatch(ValueError):
 
 
 class CheckpointCorrupt(ValueError):
-    """A checkpoint file that cannot be read as a version 1 or 2 checkpoint."""
+    """A checkpoint file that cannot be read as a version 1, 2 or 3 checkpoint."""
 
 
 def _load_checkpoint(path: Path, cfg: SearchConfig) -> tuple[dict[int, list[tuple[int, int]]], int]:
     """The finished blocks of the checkpoint at path, with their sorted hit
     pairs, and the length in bytes of its complete lines."""
-    records: list[tuple[int, str, int]] = []   # (line, key, block index) of each done= and hit=
+    # (line, key, block index, hit count) of each done= and hit= line; the hit
+    # count is None on hit= lines and on the done= lines of versions 1 and 2
+    records: list[tuple[int, str, int, int | None]] = []
     hits: dict[int, set[tuple[int, int]]] = {}
     version = digest = None
     length = lineno = 0
@@ -137,22 +141,23 @@ def _load_checkpoint(path: Path, cfg: SearchConfig) -> tuple[dict[int, list[tupl
                 elif key == "digest":
                     digest = val
                 elif key == "done":
-                    records.append((lineno, key, int(val)))
+                    b, sep, hit_count = val.partition(",")
+                    records.append((lineno, key, int(b), int(hit_count) if sep else None))
                 elif key == "hit":
                     b, n, j = (int(x) for x in val.split(","))
                     hits.setdefault(b, set()).add((n, j))
-                    records.append((lineno, key, b))
+                    records.append((lineno, key, b, None))
             except ValueError:
                 raise CheckpointCorrupt(f"{path}:{lineno}: cannot parse {line!r}") from None
     if version is None or digest is None:
         raise CheckpointCorrupt(f"{path}:{lineno + 1}: no version= or digest= line")
-    if version not in ("1", "2"):
-        raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 2")
+    if version not in ("1", "2", "3"):
+        raise CheckpointCorrupt(f"{path}: checkpoint version {version}, expected 3")
     if digest != cfg.digest():
         raise CheckpointMismatch(f"{path} belongs to a different search configuration")
     count = len(cfg.blocks())
     done: dict[int, list[tuple[int, int]]] = {}
-    for lineno, key, b in records:
+    for lineno, key, b, hit_count in records:
         if not 0 <= b < count:
             raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is not one of the "
                                     f"{count} blocks of this search")
@@ -160,6 +165,10 @@ def _load_checkpoint(path: Path, cfg: SearchConfig) -> tuple[dict[int, list[tupl
             if b in done:
                 raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is done twice")
             done[b] = sorted(hits.get(b, ()))
+            if hit_count is not None and hit_count != len(done[b]):
+                raise CheckpointCorrupt(f"{path}:{lineno}: block {b} is done with "
+                                        f"{hit_count} hits, but {len(done[b])} hit= "
+                                        "lines name it")
     return done, length
 
 
@@ -183,7 +192,7 @@ def _open_journal(path: Path, cfg: SearchConfig):
     journal = path.open("xb", buffering=0)
     try:
         _append(journal, "# collatz-paradox search checkpoint\n"
-                         f"version=2\ndigest={cfg.digest()}\n"
+                         f"version=3\ndigest={cfg.digest()}\n"
                          f"lo={cfg.lo}\nhi={cfg.hi}\nformalism={cfg.formalism.value}\n"
                          f"budget={cfg.budget}\nblock_size={cfg.block_size}\n")
         directory = os.open(path.parent, os.O_RDONLY)
@@ -272,7 +281,7 @@ def run_search(cfg: SearchConfig, threads: int = 1,
             done[idx] = pairs
             if journal is not None:
                 _append(journal, "".join(f"hit={idx},{n},{j}\n" for n, j in pairs)
-                        + f"done={idx}\n")
+                        + f"done={idx},{len(pairs)}\n")
 
     complete = len(done) == len(blocks)
     pairs = sorted(p for block in done.values() for p in block) if complete else []

@@ -160,6 +160,9 @@ def fill_excursion_memo(memo, lo: int, hi: int) -> None:
 
 _MEMO_FULL = 1 << 20    # 8 MB of int64, 0.75-0.97 s to build
 _MEMO_FAR = 1 << 16     # about 0.03 s to build
+# The greatest excursion of a start below _MEMO_FAR (that of 60975): a range
+# from 2 * _MEMO_FAR_PEAK + 1 up reads no entry of the far memo to any effect.
+_MEMO_FAR_PEAK = 296_639_576
 # The process memo: an anonymous shared mapping of _MEMO_FULL int64 entries
 # followed by one slot that holds how many of them are built.  It is made on
 # first use; a process forked after that shares it, so the workers of a pool
@@ -188,6 +191,15 @@ def _memo_for_range(n_lo: int, n_hi: int) -> tuple[memoryview, int]:
     far before the exit can fire, but short runs far out (one CLI process
     per window) would otherwise pay the full build each.
 
+    A range from 2*M + 1 = 593279153 up (M = _MEMO_FAR_PEAK, the greatest
+    excursion below 2**16) fills no entry.  Its walks exit at their first
+    halving onto cur < 2**16, whatever the memo holds there: the exit test
+    memo[cur] < thr reads either a built entry, a true excursion <= M, or an
+    unbuilt one, 0, and thr > M on both maps (thr = n on the shortcut map,
+    (n + 1) >> 1 >= M + 1 on the classic one).  So its walks, their exits
+    and the step budget are those of a filled memo, and a process that scans
+    only such ranges skips the fill (about 0.03 s).
+
     The memo grows from the length it holds, under _memo_lock, so the
     processes that share it build each entry once between them.  The
     entries are written before the length, so a process that dies while it
@@ -200,6 +212,8 @@ def _memo_for_range(n_lo: int, n_hi: int) -> tuple[memoryview, int]:
     """
     size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
     memo = _process_memo()
+    if n_lo > 2 * _MEMO_FAR_PEAK:
+        return memo, size
     with _memo_lock:
         filled = memo[_MEMO_FULL]
         if filled < size:

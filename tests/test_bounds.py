@@ -12,6 +12,7 @@ from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     small_j_classification, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
+from collatz_paradox.search import scan_paradoxes
 
 
 def test_floor_log_ratio_values():
@@ -139,6 +140,24 @@ def test_ones_ratio_window():
     assert ones_ratio_window(trajectory(7, 8))
     assert not ones_ratio_window(trajectory(7, 7))      # coefficient still >= 1
     assert ones_ratio_window(trajectory(1, 2))
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_ones_ratio_window_is_read_from_the_en_ratio_bounds(formalism):
+    # what the scoreboard's hit-window check reads instead of a second mean:
+    # every paradox up to 5000 (inside the window) and random trajectories
+    rng = random.Random(7)
+    walks = scan_paradoxes(3, 5000, formalism)
+    walks += [(rng.randrange(1, 10**6), rng.randrange(1, 80)) for _ in range(300)]
+    inside = 0
+    for n, j in walks:
+        t = trajectory(n, j, formalism)
+        if t.q >= 1:
+            er = en_ratio_bounds(t)
+            window = ones_ratio_window(t)
+            assert window == (t.coefficient_lt_one() and er.upper >= er.lower), (n, j)
+            inside += window
+    assert inside >= 593
 
 
 def test_harmonic_mean():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import collatz_paradox
-from collatz_paradox import cli, records
+from collatz_paradox import records
 from collatz_paradox.cli import (EXIT_FAIL, EXIT_INCOMPLETE, EXIT_INTERRUPTED, EXIT_OK, main,
                                  parse_bound, parse_range)
 
@@ -272,8 +272,7 @@ def test_records_command_scans_once(monkeypatch, capsys):
         calls.append(n_hi)
         return real(n_hi, kind)
 
-    monkeypatch.setattr(records, "compute_records", counting)
-    monkeypatch.setattr(cli, "compute_records", counting)
+    monkeypatch.setattr(records, "compute_records", counting)   # cli reads it per call
     assert main(["records", "--kind", "delay-col", "--range", "1..20000"]) == EXIT_OK
     captured = capsys.readouterr()
     assert calls == [20000]
@@ -295,6 +294,28 @@ def test_a_serial_search_loads_no_pool_module(tmp_path):
     subprocess.run([sys.executable, "-c", code, "search", "--range", "3..5000",
                     "--threads", "1", "--out", str(tmp_path / "hits.csv")],
                    env=env, check=True, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["search", "--range", "1000000000..1000000100"],
+                                  ["cst", "--range", "2..1000"]])
+def test_a_search_loads_only_the_search_path(argv, tmp_path):
+    # A fresh process: importing the CLI, and running a search or a CST check,
+    # loads none of the bound, Diophantine, poset, record or scoreboard layers.
+    code = "\n".join([
+        "import sys",
+        "import collatz_paradox.cli",
+        "unused = {'collatz_paradox.' + m for m in",
+        "          ('bounds', 'numtheory', 'poset', 'records', 'checks')}",
+        "assert not unused & set(sys.modules), unused & set(sys.modules)",
+        "assert collatz_paradox.cli.main(sys.argv[1:]) == 0",
+        "loaded = {m for m in sys.modules if m.startswith('collatz_paradox')}",
+        "assert loaded <= {'collatz_paradox', 'collatz_paradox.cli'} | {",
+        "    'collatz_paradox.' + m for m in",
+        "    ('dynamics', 'search', 'runner', 'census', 'precision')}, loaded",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                   check=True, capture_output=True, timeout=60)
 
 
 def test_ctrl_c_leaves_a_resumable_checkpoint(tmp_path):

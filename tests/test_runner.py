@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import collatz_paradox
 from collatz_paradox import runner
-from collatz_paradox.cli import EXIT_FAIL, main
+from collatz_paradox.cli import EXIT_FAIL, EXIT_INCOMPLETE, main
 from collatz_paradox.dynamics import Formalism
 from collatz_paradox.runner import CheckpointCorrupt, SearchConfig, hits_csv_text, run_search
 
@@ -126,10 +127,10 @@ def test_journal_fsyncs_once_per_block_and_its_directory_once(tmp_path, monkeypa
     monkeypatch.setattr(os, "replace", lambda *args: events.append("replace"))
     cfg, ck = SearchConfig(3, 200, block_size=50), tmp_path / "ck.txt"
     run_search(cfg, checkpoint=ck, max_blocks=1)
-    assert events == ["block_size=50", "dir", "done=0"]   # the header, its directory, a block
+    assert events == ["block_size=50", "dir", "done=0,5"]   # the header, its directory, a block
     events.clear()
     assert run_search(cfg, checkpoint=ck).complete
-    assert events == ["done=1", "done=2", "done=3"]
+    assert events == ["done=1,2", "done=2,1", "done=3,4"]
 
 
 def _partial_checkpoint(tmp_path) -> tuple[SearchConfig, Path]:
@@ -141,12 +142,12 @@ def _partial_checkpoint(tmp_path) -> tuple[SearchConfig, Path]:
 
 def test_checkpoint_with_another_version_is_rejected(tmp_path):
     cfg, ck = _partial_checkpoint(tmp_path)
-    ck.write_text(ck.read_text().replace("version=2\n", "version=3\n"))
-    with pytest.raises(CheckpointCorrupt, match="version 3"):
+    ck.write_text(ck.read_text().replace("version=3\n", "version=4\n"))
+    with pytest.raises(CheckpointCorrupt, match="version 4"):
         run_search(cfg, checkpoint=ck)
 
 
-@pytest.mark.parametrize("garbled", ["hit=0,7", "done=x"])
+@pytest.mark.parametrize("garbled", ["hit=0,7", "done=x", "done=0,x", "done=0,1,2"])
 def test_garbled_checkpoint_line_names_file_and_line(tmp_path, garbled):
     cfg, ck = _partial_checkpoint(tmp_path)
     lines = ck.read_text().splitlines()
@@ -200,6 +201,19 @@ def test_a_journal_cut_at_any_byte_resumes_or_is_refused(tmp_path):
         ck.write_bytes(data[:cut])
         with pytest.raises(CheckpointCorrupt, match=f"{ck}:{line}: no version= or digest= line"):
             run_search(_JOURNALED, checkpoint=ck)
+    # Each done= line counts its block's hits: a journal that lost any one hit
+    # line is refused at that block's done= line, one line up.
+    lines = data.decode().splitlines(keepends=True)
+    done_at = {int(line[5:].split(",")[0]): i for i, line in enumerate(lines, 1)
+               if line.startswith("done=")}
+    assert len(done_at) == 5
+    for i, line in enumerate(lines):
+        if line.startswith("hit="):
+            b = int(line[4:].split(",")[0])
+            ck.write_text("".join(lines[:i] + lines[i + 1:]))
+            with pytest.raises(CheckpointCorrupt, match=f"{ck}:{done_at[b] - 1}: block {b} is "
+                                                        f"done with {len(finished[b])} hits"):
+                run_search(_JOURNALED, checkpoint=ck)
 
 
 def test_a_resume_appends_to_the_same_file(tmp_path):
@@ -249,6 +263,36 @@ def test_a_version_1_checkpoint_resumes(tmp_path):
     assert resumed.blocks_done == 2
     assert run_search(_JOURNALED, checkpoint=ck).pairs == run_search(_JOURNALED).pairs
     assert ck.read_text().startswith(_VERSION_1)
+
+
+def test_a_version_2_checkpoint_resumes(tmp_path):
+    # version 2: done=<block> with no hit count; its blocks resume unchecked
+    ck = tmp_path / "ck.txt"
+    run_search(_JOURNALED, checkpoint=ck, max_blocks=2)
+    old = re.sub(r"(?m)^done=(\d+),\d+$", r"done=\1",
+                 ck.read_text().replace("version=3\n", "version=2\n"))
+    ck.write_text(old)
+    assert run_search(_JOURNALED, checkpoint=ck, max_blocks=0).blocks_done == 2
+    assert run_search(_JOURNALED, checkpoint=ck).pairs == run_search(_JOURNALED).pairs
+    text = ck.read_text()
+    assert text.startswith(old) and text.endswith("done=4,7\n")
+
+
+def test_cli_refuses_a_journal_that_lost_a_hit_line(tmp_path, capsys):
+    # An uninterrupted run prints 593 hits; with hit=0,7,8 gone the resume
+    # once printed 592 hits and exited 0.
+    ck = tmp_path / "ck.txt"
+    argv = ["search", "--range", "3..20000", "--block-size", "5000", "--checkpoint", str(ck)]
+    assert main([*argv, "--max-blocks", "2"]) == EXIT_INCOMPLETE
+    lines = ck.read_text().splitlines(keepends=True)
+    lost = lines.index("hit=0,7,8\n")
+    done_0 = lines.index("done=0,593\n")
+    ck.write_text("".join(lines[:lost] + lines[lost + 1:]))
+    capsys.readouterr()
+    assert main(argv) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ck}:{done_0}: block 0 is done with 593 hits, but 592 hit= lines name it\n"
 
 
 @pytest.mark.parametrize("max_blocks", [[], ["--max-blocks", "0"]])

@@ -373,8 +373,9 @@ def test_process_memo_matches_max_excursion(m):
 
 def test_memo_is_lazy_and_sized_by_the_range():
     # a fresh process: the memo is built by scans only, never at import or by
-    # the record scans, and a range far out gets only 2**16 entries; the jump
-    # rows are built by the first record scan or paradox scan
+    # the record scans; a range beyond 2**20 gets only 2**16 entries, and one
+    # from 2 * _MEMO_FAR_PEAK + 1 up none; the jump rows are built by the
+    # first record scan or paradox scan
     code = "\n".join([
         "from collatz_paradox import records, search",
         "assert search._memo is None and len(search._jump_table) == 0",
@@ -385,9 +386,14 @@ def test_memo_is_lazy_and_sized_by_the_range():
         "assert filled() == 5001",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
         "search.scan_paradoxes(2**40, 2**40 + 10)",
-        "assert filled() == 1 << 16",
+        "assert filled() == 5001",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
+        "far = 2 * search._MEMO_FAR_PEAK + 1",
+        "search.scan_paradoxes(far, far + 10, search.Formalism.CLASSIC)",
+        "assert filled() == 5001",
         "search.scan_paradoxes(3, 5000)",
+        "assert filled() == 5001",
+        "search.scan_paradoxes(far - 1, far + 10)",
         "assert filled() == 1 << 16",
         "search.scan_paradoxes(100000, 100010)",
         "assert filled() == 100011",
@@ -579,6 +585,47 @@ def test_budget_pins_the_walk_length_beyond_the_memo(n, formalism):
         scan_paradoxes(n, n, formalism, budget=length - 1)
 
 
+def test_far_memo_peak_is_the_greatest_excursion_below_2_16():
+    memo, size = _fresh_memo(1 << 16)(0, 0)
+    assert max(memo) == search._MEMO_FAR_PEAK == memo[60975]
+    assert 2 * search._MEMO_FAR_PEAK + 1 == 593279153
+
+
+def test_far_windows_read_an_empty_memo_as_a_filled_one():
+    # A fresh process, whose far scans fill no memo entry: each window gives
+    # the same pairs and the same budget error as with a filled 2**16 memo.
+    code = "\n".join([
+        "from array import array",
+        "from hypothesis import given, settings, strategies as st",
+        "from collatz_paradox import search",
+        "from collatz_paradox.dynamics import BudgetExhausted, Formalism",
+        "far = 2 * search._MEMO_FAR_PEAK + 1",
+        "filled = array('q', bytes(8)) * (1 << 16)",
+        "search.fill_excursion_memo(filled, 0, 1 << 16)",
+        "process_memo = search._memo_for_range",
+        "def outcome(lo, hi, formalism, budget, memo_for_range):",
+        "    search._memo_for_range = memo_for_range",
+        "    try:",
+        "        return search.scan_paradoxes(lo, hi, formalism, budget)",
+        "    except BudgetExhausted as exc:",
+        "        return exc.n, exc.budget",
+        "    finally:",
+        "        search._memo_for_range = process_memo",
+        "@settings(max_examples=150, deadline=None, database=None)",
+        "@given(lo=st.one_of(st.integers(far, far + 10**6), st.integers(far, 1 << 70)),",
+        "       width=st.integers(0, 16), formalism=st.sampled_from(Formalism),",
+        "       budget=st.one_of(st.integers(1, 400), st.just(search.DEFAULT_BUDGET)))",
+        "def same(lo, width, formalism, budget):",
+        "    empty = outcome(lo, lo + width, formalism, budget, process_memo)",
+        "    assert empty == outcome(lo, lo + width, formalism, budget,",
+        "                            lambda n_lo, n_hi: (filled, 1 << 16))",
+        "same()",
+        "assert search._memo[search._MEMO_FULL] == 0 and not any(search._memo[:1 << 16])",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+
+
 def test_budget_does_not_depend_on_what_the_process_scanned_before():
     # A far range ends its walks below 2**16 even once the memo is longer.
     search._memo_for_range(3, MEMO_FULL)
@@ -595,10 +642,19 @@ def test_census_submodule_is_reachable_from_the_package():
 def test_package_exports_are_a_literal_list_of_names():
     exported = collatz_paradox.__all__
     assert len(exported) == len(set(exported)) == 62
+    for name in exported:   # each name loads its module on first use
+        getattr(collatz_paradox, name)
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        collatz_paradox.cli_main
+    assert set(exported) <= set(dir(collatz_paradox))
     public = {name for name, value in vars(collatz_paradox).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(exported) == public   # every public name, and no module
     assert isinstance(collatz_paradox.census, types.ModuleType)
+    # and in a fresh process, before anything has imported the module
+    code = "import collatz_paradox, types; assert isinstance(collatz_paradox.census, types.ModuleType)"
+    env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("formalism", list(Formalism))
