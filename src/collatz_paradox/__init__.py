@@ -20,13 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     # dynamics, poset
     "BudgetExhausted", "Formalism", "Trajectory", "step", "trajectory",
-    "HasseDiagram", "PosetRelation", "all_vectors", "compare", "covers", "hasse",
-    "check_remainder_monotonicity",
+    "HasseDiagram", "all_vectors", "covers", "hasse", "check_remainder_monotonicity",
     # bounds
     "EnRatioBounds", "RemainderBounds", "coefficient_ceiling_q", "en_ratio_bounds",
     "floor_log_ratio", "harmonic_cap_holds", "harmonic_mean_odd_terms",
-    "mean_remainder", "ones_ratio_window", "remainder_bounds",
-    "small_j_classification", "smallest_harmonic_cap_j",
+    "mean_remainder", "remainder_bounds", "small_j_classification", "smallest_harmonic_cap_j",
     # numtheory, precision
     "ApproxPair", "Convergent", "DivergenceWitness", "approx_pairs", "convergents",
     "divergent_to_paradox", "heuristic_j_cap", "pair_in_s", "partial_quotients",
@@ -47,12 +45,10 @@ __all__ = [
 # The module of each name in __all__.
 _EXPORTS = {
     "dynamics": "BudgetExhausted Formalism Trajectory step trajectory",
-    "poset": "HasseDiagram PosetRelation all_vectors compare covers hasse "
-             "check_remainder_monotonicity",
+    "poset": "HasseDiagram all_vectors covers hasse check_remainder_monotonicity",
     "bounds": "EnRatioBounds RemainderBounds coefficient_ceiling_q en_ratio_bounds "
               "floor_log_ratio harmonic_cap_holds harmonic_mean_odd_terms "
-              "mean_remainder ones_ratio_window remainder_bounds "
-              "small_j_classification smallest_harmonic_cap_j",
+              "mean_remainder remainder_bounds small_j_classification smallest_harmonic_cap_j",
     "numtheory": "ApproxPair Convergent DivergenceWitness approx_pairs convergents "
                  "divergent_to_paradox heuristic_j_cap pair_in_s partial_quotients "
                  "ratio_below_log2_log3 rhin_gap_ok",

@@ -107,6 +107,15 @@ def harmonic_mean_odd_terms(traj: Trajectory) -> Fraction:
 
 @dataclass(frozen=True)
 class EnRatioBounds:
+    """The E/n window of a trajectory and, with it, its ones-ratio window.
+
+    A paradoxical trajectory has a coefficient below 1 (3**q < 2**e) and
+    ratio >= lower.  Since ratio <= upper always holds, it also satisfies
+    upper >= lower, which is 2**e <= (3 + 1/h)**q.  So the ones-ratio window,
+    the necessary window for the odd-step density, is
+    `traj.coefficient_lt_one() and upper >= lower`.
+    """
+
     ratio: Fraction          # E / n
     lower: Fraction          # (2^e - 3^q) / 2^e  = 1 - C
     upper: Fraction          # ((3 + 1/h)^q - 3^q) / 2^e
@@ -115,7 +124,8 @@ class EnRatioBounds:
 
 
 def en_ratio_bounds(traj: Trajectory) -> EnRatioBounds:
-    """Both sides of the E/n window, cleared of h by cross-multiplication."""
+    """Both sides of the E/n window, cleared of h = hn/hd by cross-multiplication
+    (see EnRatioBounds for the ones-ratio window read from them)."""
     q, e = traj.q, traj.e
     if q < 1:
         raise ValueError("trajectory needs at least one odd term")
@@ -125,23 +135,6 @@ def en_ratio_bounds(traj: Trajectory) -> EnRatioBounds:
     hn, hd = h.numerator, h.denominator
     upper = Fraction((3 * hn + hd) ** q - 3**q * hn**q, hn**q << e)
     return EnRatioBounds(ratio, lower, upper, ratio >= lower, ratio <= upper)
-
-
-def ones_ratio_window(traj: Trajectory) -> bool:
-    """Necessary window for the odd-step density of a paradoxical trajectory.
-
-    Right side: 3**q < 2**e.  Left side: 2**e <= (3 + 1/h)**q, evaluated as
-    2**e * hn**q <= (3*hn + hd)**q with h = hn/hd in lowest terms; it is
-    upper >= lower of en_ratio_bounds(traj).
-    """
-    q, e = traj.q, traj.e
-    if q < 1:
-        return False
-    if not traj.coefficient_lt_one():
-        return False
-    h = harmonic_mean_odd_terms(traj)
-    hn, hd = h.numerator, h.denominator
-    return (hn**q << e) <= (3 * hn + hd) ** q
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +182,7 @@ def smallest_harmonic_cap_j(m: int, prec: int = 192) -> int:
             return j
         if js > q * hi:
             continue
-        if (m**q << j) <= (3 * m + 1) ** q:   # straddle: decide exactly
+        if harmonic_cap_holds(j, m):   # straddle: decide exactly
             return j
     raise ValueError(f"no j <= {HARMONIC_CAP_J_LIMIT} with H(j) >= {m}")
 

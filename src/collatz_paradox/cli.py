@@ -56,6 +56,14 @@ def parse_count(s: str) -> int:
     return v
 
 
+def parse_budget(s: str) -> int:
+    """A step budget: a positive integer in any notation of parse_bound."""
+    v = parse_bound(s)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return v
+
+
 def parse_range(s: str) -> tuple[int, int]:
     lo, sep, hi = s.partition("..")
     if not sep:
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="shortcut|classic")
     ps.add_argument("--threads", type=int, default=1, metavar="N",
                     help="worker processes (results are identical for any N)")
-    ps.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
+    ps.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                     metavar="K", help="most steps one walk may take before its early "
                                       "exit (a start that needs more is an error)")
     ps.add_argument("--block-size", type=parse_bound, default=DEFAULT_BLOCK_SIZE,
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cst", help="verify stopping time = coefficient stopping time")
     pc.add_argument("--range", type=parse_range, required=True, metavar="A..B")
-    pc.add_argument("--budget", type=parse_bound, default=DEFAULT_BUDGET,
+    pc.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                     metavar="K", help="per-trajectory step budget")
 
     pp = sub.add_parser("poset", help="export the Hasse diagram of one (j, q) class")
@@ -235,6 +243,9 @@ def cmd_records(args) -> int:
     if lo != 1:
         print("record scans start at 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.refs is not None and reference_path(args.kind) is None:
+        print(f"{args.kind.value} has no reference table for --refs", file=sys.stderr)
+        return EXIT_USAGE
     recs = compute_records(hi, args.kind)
     lines = [f"{e.n} {e.value}" for e in recs]
     if args.out:
@@ -279,10 +290,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return handlers[args.command](args)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (Undecided, ValueError, OSError) as exc:   # records.IngestError is a ValueError
+    except (BudgetExhausted, Undecided, ValueError, OSError) as exc:
+        # records.IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except KeyboardInterrupt:

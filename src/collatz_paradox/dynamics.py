@@ -85,9 +85,6 @@ class Trajectory:
     def j(self) -> int:
         return len(self.iterates) - 1
 
-    def coefficient(self) -> Fraction:
-        return Fraction(3**self.q, 1 << self.e)
-
     def coefficient_lt_one(self) -> bool:
         # 3**q < 2**e iff bit_length(3**q) <= e (equality of the powers is impossible)
         return (3**self.q).bit_length() <= self.e

@@ -3,17 +3,14 @@
 
 The generating relation swaps one adjacent "01" into "10"; its transitive
 closure coincides with prefix-sum dominance between words of equal length and
-equal weight.  Both views are implemented: `compare` decides the order via
-prefix sums, `covers` yields the generator edges, and `hasse` materializes the
-diagram for one (length, weight) class.  `up_sets` gives every member's whole
-up-set in one class as an int bitmask, which the pairwise checks read instead
-of calling `compare` once per pair.
+equal weight.  Both views are implemented: `up_sets` decides the order, giving
+every member's whole up-set in one (length, weight) class as an int bitmask,
+`covers` yields the generator edges, and `hasse` materializes the diagram for
+one class.
 """
 
 from __future__ import annotations
 
-import enum
-import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, groupby
 
@@ -22,36 +19,9 @@ from .dynamics import Formalism, trajectory
 HASSE_DEFAULT_CAP = 16   # longest words hasse draws (edge counts explode)
 
 
-class PosetRelation(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
 def _prefix_sums(v: tuple[int, ...]) -> tuple[int, ...]:
     """The proper prefix sums of v: the ones among its first i + 1 bits, i < len(v) - 1."""
     return tuple(accumulate(v[:-1]))
-
-
-def compare(v: tuple[int, ...], w: tuple[int, ...]) -> PosetRelation:
-    """Decide the order between two parity vectors.
-
-    Words of different length or different weight are never comparable.
-    Otherwise v precedes w exactly when every proper prefix sum of v is <=
-    the corresponding prefix sum of w.  The prefix sums are computed on each
-    call.
-    """
-    if len(v) != len(w) or sum(v) != sum(w):
-        return PosetRelation.INCOMPARABLE
-    if v == w:
-        return PosetRelation.EQUAL
-    a, b = _prefix_sums(v), _prefix_sums(w)
-    if all(map(operator.le, a, b)):
-        return PosetRelation.LESS
-    if all(map(operator.ge, a, b)):
-        return PosetRelation.GREATER
-    return PosetRelation.INCOMPARABLE
 
 
 def covers(v: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -66,12 +36,13 @@ def covers(v: tuple[int, ...]) -> set[tuple[int, ...]]:
 def up_sets(vectors: list[tuple[int, ...]]) -> list[int]:
     """Up-set of every member of one (length, weight) class, as a bitmask.
 
-    Bit k of the i-th mask is set exactly when vectors[i] precedes or equals
-    vectors[k] (`compare` gives LESS or EQUAL): every proper prefix sum of
-    vectors[i] is <= that of vectors[k].  For each prefix position one mask
-    per value s holds the members whose sum there is >= s (a suffix OR over
-    s); an up-set is the AND of its member's masks over the positions.  That
-    is about N * j big-int ANDs for N members, not N**2 `compare` calls.
+    This is the order: bit k of the i-th mask is set exactly when vectors[i]
+    precedes or equals vectors[k], that is when every proper prefix sum of
+    vectors[i] is <= that of vectors[k].  Words of different length or weight
+    are never comparable, so they are refused.  For each prefix position one
+    mask per value s holds the members whose sum there is >= s (a suffix OR
+    over s); an up-set is the AND of its member's masks over the positions.
+    That is about N * j big-int ANDs for N members, not N**2 pair comparisons.
     """
     if not vectors:
         return []

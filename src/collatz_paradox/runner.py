@@ -41,7 +41,6 @@ import itertools
 import os
 import signal
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,8 +60,12 @@ class SearchConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self) -> None:
+        if self.lo < 3:
+            raise ValueError("enumeration starts at 3 (1 and 2 have infinitely many hits)")
         if self.hi < self.lo:
             raise ValueError("empty range")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.block_size < 1:
             raise ValueError(f"block size must be >= 1, got {self.block_size}")
 
@@ -70,23 +73,9 @@ class SearchConfig:
         key = f"v1|{self.lo}|{self.hi}|{self.formalism.value}|{self.budget}|{self.block_size}"
         return hashlib.sha256(key.encode()).hexdigest()
 
-    def blocks(self) -> Sequence[tuple[int, int, int]]:
-        """The (index, lo, hi) blocks covering [lo, hi] inclusively, as a
-        sequence that computes each block when it is read."""
-        return _Blocks(self)
-
-
-class _Blocks(Sequence):
-    def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
-
-    def __len__(self) -> int:
-        return -(-(self.cfg.hi - self.cfg.lo + 1) // self.cfg.block_size)
-
-    def __getitem__(self, idx: int) -> tuple[int, int, int]:
-        idx = range(len(self))[idx]   # IndexError past the end; negatives count back
-        lo = self.cfg.lo + idx * self.cfg.block_size
-        return idx, lo, min(lo + self.cfg.block_size - 1, self.cfg.hi)
+    def blocks(self) -> range:
+        """The first start of each block; a block ends block_size - 1 later, or at hi."""
+        return range(self.lo, self.hi + 1, self.block_size)
 
 
 @dataclass
@@ -253,8 +242,9 @@ def run_search(cfg: SearchConfig, threads: int = 1,
         todo = len(blocks) - len(done)
         if max_blocks is not None:
             todo = min(todo, max_blocks)
-        pending = itertools.islice((b for b in blocks if b[0] not in done), todo)
-        tasks = ((idx, (lo, hi, cfg.formalism, cfg.budget)) for idx, lo, hi in pending)
+        pending = itertools.islice(((i, lo) for i, lo in enumerate(blocks) if i not in done), todo)
+        tasks = ((idx, (lo, min(lo + cfg.block_size - 1, cfg.hi), cfg.formalism, cfg.budget))
+                 for idx, lo in pending)
         # A fork pool starts all of its workers at the first submit.
         workers = min(threads, todo)
         if workers <= 1:

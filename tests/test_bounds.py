@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
                                     harmonic_mean_odd_terms, mean_remainder,
-                                    ones_ratio_window, remainder_bounds,
+                                    remainder_bounds,
                                     small_j_classification, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
@@ -104,7 +104,8 @@ def test_mean_remainder_memory_is_bounded():
 def test_paradox_witness_published_examples():
     t = trajectory(7, 8)
     assert t.is_paradoxical() and t.last() - t.start == 1
-    assert t.coefficient() == Fraction(243, 256) and t.remainder() == Fraction(347, 256)
+    assert Fraction(3**t.q, 1 << t.e) == Fraction(243, 256)
+    assert t.remainder() == Fraction(347, 256)
     assert trajectory(1, 2).is_paradoxical()       # last == first counts
     assert not trajectory(7, 7).is_paradoxical()
 
@@ -136,15 +137,27 @@ def test_en_ratio_requires_an_odd_term():
         en_ratio_bounds(trajectory(2, 1))
 
 
+def _ones_ratio_window(t):
+    # the window as the scoreboard's hit-window check reads it
+    er = en_ratio_bounds(t)
+    return t.coefficient_lt_one() and er.upper >= er.lower
+
+
+def _ones_ratio_window_by_powers(t):
+    # 3**q < 2**e <= (3 + 1/h)**q, with the harmonic mean h as a Fraction
+    h = harmonic_mean_odd_terms(t)
+    return 3**t.q < 1 << t.e <= (3 + 1 / h) ** t.q
+
+
 def test_ones_ratio_window():
-    assert ones_ratio_window(trajectory(7, 8))
-    assert not ones_ratio_window(trajectory(7, 7))      # coefficient still >= 1
-    assert ones_ratio_window(trajectory(1, 2))
+    for t in (trajectory(7, 8), trajectory(1, 2)):
+        assert _ones_ratio_window(t) and _ones_ratio_window_by_powers(t)
+    t = trajectory(7, 7)      # coefficient still >= 1
+    assert not _ones_ratio_window(t) and not _ones_ratio_window_by_powers(t)
 
 
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_ones_ratio_window_is_read_from_the_en_ratio_bounds(formalism):
-    # what the scoreboard's hit-window check reads instead of a second mean:
     # every paradox up to 5000 (inside the window) and random trajectories
     rng = random.Random(7)
     walks = scan_paradoxes(3, 5000, formalism)
@@ -153,9 +166,8 @@ def test_ones_ratio_window_is_read_from_the_en_ratio_bounds(formalism):
     for n, j in walks:
         t = trajectory(n, j, formalism)
         if t.q >= 1:
-            er = en_ratio_bounds(t)
-            window = ones_ratio_window(t)
-            assert window == (t.coefficient_lt_one() and er.upper >= er.lower), (n, j)
+            window = _ones_ratio_window(t)
+            assert window == _ones_ratio_window_by_powers(t), (n, j)
             inside += window
     assert inside >= 593
 

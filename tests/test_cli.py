@@ -11,8 +11,8 @@ import pytest
 
 import collatz_paradox
 from collatz_paradox import records
-from collatz_paradox.cli import (EXIT_FAIL, EXIT_INCOMPLETE, EXIT_INTERRUPTED, EXIT_OK, main,
-                                 parse_bound, parse_range)
+from collatz_paradox.cli import (EXIT_FAIL, EXIT_INCOMPLETE, EXIT_INTERRUPTED, EXIT_OK,
+                                 EXIT_USAGE, main, parse_bound, parse_range)
 
 
 def test_parse_bound_forms():
@@ -240,6 +240,25 @@ def test_budget_exhaustion_is_nonzero_exit(capsys):
     assert "(n = 3, budget = 5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--range", "3..100", "--budget", "-5"],
+    ["search", "--range", "3..100", "--budget", "0"],
+    ["cst", "--range", "2..100", "--budget", "-1"],
+    ["cst", "--range", "2..100", "--budget", "0"],
+])
+def test_a_budget_below_1_is_a_usage_error(argv, capsys):
+    # it failed at the first start, as "(n = 3, budget = -5)"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "is not a positive integer" in capsys.readouterr().err
+
+
+def test_a_budget_takes_the_bound_notations(capsys):
+    assert main(["search", "--range", "3..100", "--budget", "10^6"]) == EXIT_OK
+    assert main(["cst", "--range", "2..100", "--budget", "1e3"]) == EXIT_OK
+
+
 def test_budget_error_is_the_same_after_a_resume(tmp_path):
     # The blocks below 2**20 grow the process memo to 2**20; a resumed run in
     # a fresh process skips them.  The far block must fail the same way.
@@ -262,6 +281,15 @@ def test_records_refuses_a_range_it_cannot_hold(capsys):
     assert main(["records", "--kind", "delay-col", "--range", "1..10^9"]) == EXIT_FAIL
     assert time.monotonic() - t0 < 1
     assert capsys.readouterr().err.startswith("error: record scans stop at 100000000")
+
+
+def test_records_refuses_refs_for_a_kind_without_a_table(monkeypatch, tmp_path, capsys):
+    # delay-t has no reference table, so --refs was ignored in silence
+    calls = []
+    monkeypatch.setattr(records, "compute_records", lambda *args: calls.append(args))
+    rc = main(["records", "--kind", "delay-t", "--range", "1..1000", "--refs", str(tmp_path)])
+    assert rc == EXIT_USAGE and calls == []
+    assert "delay-t has no reference table for --refs" in capsys.readouterr().err
 
 
 def test_records_command_scans_once(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 from itertools import combinations, product
 
 import pytest
@@ -6,9 +7,8 @@ import pytest
 from collatz_paradox import checks, poset
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.poset import (HASSE_DEFAULT_CAP, HasseDiagram, MonotonicityReport,
-                                   PosetRelation, all_vectors,
-                                   check_remainder_monotonicity, compare, covers, hasse,
-                                   run_length, up_sets)
+                                   all_vectors, check_remainder_monotonicity, covers,
+                                   hasse, run_length, up_sets)
 
 
 def V(bits: str) -> tuple[int, ...]:
@@ -34,22 +34,52 @@ def edges_rise_in_lex_order(d) -> bool:
     return all(d.nodes[a] < d.nodes[b] for a, b in d.edges)
 
 
+class Rel(enum.Enum):
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
+
+
+def _compare(v: tuple[int, ...], w: tuple[int, ...]) -> Rel:
+    # the order between two words as up_sets decides it
+    try:
+        up_v, up_w = up_sets([v, w])
+    except ValueError:   # words of different shapes, which are incomparable
+        return Rel.INCOMPARABLE
+    below, above = bool(up_v & 2), bool(up_w & 1)
+    if below and above:
+        return Rel.EQUAL
+    if below:
+        return Rel.LESS
+    if above:
+        return Rel.GREATER
+    return Rel.INCOMPARABLE
+
+
+def _strictly_less(nodes) -> list[list[bool]]:
+    # less[i][k]: nodes[i] strictly precedes nodes[k], read from up_sets
+    ups = up_sets(nodes)
+    return [[i != k and bool(ups[i] >> k & 1) for k in range(len(nodes))]
+            for i in range(len(nodes))]
+
+
 def test_compare_published_examples():
-    assert compare(V("0110"), V("1001")) is PosetRelation.INCOMPARABLE
-    assert compare(V("0011"), V("1100")) is PosetRelation.LESS
-    assert compare(V("1100"), V("0011")) is PosetRelation.GREATER
-    assert compare(V("01110"), V("10101")) is PosetRelation.INCOMPARABLE
-    assert compare(V("01110"), V("11001")) is PosetRelation.INCOMPARABLE
-    assert compare(V("01110"), V("10011")) is PosetRelation.INCOMPARABLE
-    assert compare(V("0110"), V("0110")) is PosetRelation.EQUAL
+    assert _compare(V("0110"), V("1001")) is Rel.INCOMPARABLE
+    assert _compare(V("0011"), V("1100")) is Rel.LESS
+    assert _compare(V("1100"), V("0011")) is Rel.GREATER
+    assert _compare(V("01110"), V("10101")) is Rel.INCOMPARABLE
+    assert _compare(V("01110"), V("11001")) is Rel.INCOMPARABLE
+    assert _compare(V("01110"), V("10011")) is Rel.INCOMPARABLE
+    assert _compare(V("0110"), V("0110")) is Rel.EQUAL
 
 
-def _compare_by_walk(v: tuple[int, ...], w: tuple[int, ...]) -> PosetRelation:
+def _compare_by_walk(v: tuple[int, ...], w: tuple[int, ...]) -> Rel:
     # running prefix sums of both words, built on every call
     if len(v) != len(w) or sum(v) != sum(w):
-        return PosetRelation.INCOMPARABLE
+        return Rel.INCOMPARABLE
     if v == w:
-        return PosetRelation.EQUAL
+        return Rel.EQUAL
     le = ge = True
     a = b = 0
     for x, y in zip(v[:-1], w[:-1]):
@@ -60,32 +90,32 @@ def _compare_by_walk(v: tuple[int, ...], w: tuple[int, ...]) -> PosetRelation:
         elif a < b:
             ge = False
     if le:
-        return PosetRelation.LESS
+        return Rel.LESS
     if ge:
-        return PosetRelation.GREATER
-    return PosetRelation.INCOMPARABLE
+        return Rel.GREATER
+    return Rel.INCOMPARABLE
 
 
 def test_compare_equals_the_prefix_sum_walk():
     words = [bits for j in range(1, 9) for bits in product((0, 1), repeat=j)]
     for v in words:
         for w in words:
-            assert compare(v, w) is _compare_by_walk(v, w), (v, w)
+            assert _compare(v, w) is _compare_by_walk(v, w), (v, w)
 
 
-def _assert_up_sets_equal_compare(nodes):
+def _assert_up_sets_equal_the_walk(nodes):
     ups = up_sets(nodes)
     assert len(ups) == len(nodes)
     for i, v in enumerate(nodes):
         for k, w in enumerate(nodes):
-            below = compare(v, w) in (PosetRelation.LESS, PosetRelation.EQUAL)
+            below = _compare_by_walk(v, w) in (Rel.LESS, Rel.EQUAL)
             assert bool(ups[i] >> k & 1) is below, (v, w)
 
 
 def test_up_sets_equal_compare_on_every_pair():
     for j in range(1, 9):
         for q in range(j + 1):
-            _assert_up_sets_equal_compare(all_vectors(j, q))
+            _assert_up_sets_equal_the_walk(all_vectors(j, q))
 
 
 def test_up_sets_do_not_lean_on_lexicographic_order():
@@ -93,7 +123,7 @@ def test_up_sets_do_not_lean_on_lexicographic_order():
     for j in range(2, 9):
         for q in range(j + 1):
             nodes = [v for v in all_vectors(j, q) if "11" not in word(v)]
-            _assert_up_sets_equal_compare(nodes[1::2] + nodes[::-2])
+            _assert_up_sets_equal_the_walk(nodes[1::2] + nodes[::-2])
 
 
 def test_up_sets_edge_cases():
@@ -103,8 +133,12 @@ def test_up_sets_edge_cases():
 
 
 def test_compare_rejects_mismatched_shapes():
-    assert compare(V("01"), V("011")) is PosetRelation.INCOMPARABLE
-    assert compare(V("01"), V("11")) is PosetRelation.INCOMPARABLE
+    assert _compare(V("01"), V("011")) is Rel.INCOMPARABLE
+    assert _compare(V("01"), V("11")) is Rel.INCOMPARABLE
+    assert _compare_by_walk(V("01"), V("011")) is Rel.INCOMPARABLE
+    assert _compare_by_walk(V("01"), V("11")) is Rel.INCOMPARABLE
+    with pytest.raises(ValueError, match="one length and one weight"):
+        up_sets([V("01"), V("011")])
 
 
 def test_covers():
@@ -125,7 +159,7 @@ def test_hasse_total_order_length3():
 def test_hasse_length4_weight2():
     d = hasse(4, 2)
     assert d.node_count == 6
-    assert compare(V("0110"), V("1001")) is PosetRelation.INCOMPARABLE
+    assert _compare(V("0110"), V("1001")) is Rel.INCOMPARABLE
     assert edges_rise_in_lex_order(d)
     assert sources(d) == [V("0011")] and sinks(d) == [V("1100")]
 
@@ -151,12 +185,12 @@ def test_partial_order_axioms_exhaustive():
     for j in range(1, 9):
         for q in range(j + 1):
             nodes = all_vectors(j, q)
-            less = [[compare(a, b) is PosetRelation.LESS for b in nodes] for a in nodes]
+            less = _strictly_less(nodes)
             for i, a in enumerate(nodes):
                 for k, b in enumerate(nodes):
                     if less[i][k]:
                         assert not less[k][i]          # antisymmetry
-                        assert compare(b, a) is PosetRelation.GREATER
+                        assert _compare(b, a) is Rel.GREATER
             n = len(nodes)
             for i in range(n):
                 for k in range(n):
@@ -170,9 +204,11 @@ def test_partial_order_axioms_exhaustive():
 def test_less_is_consistent_with_lex_order():
     for j in range(1, 9):
         for q in range(j + 1):
-            for a, b in combinations(all_vectors(j, q), 2):
-                if compare(a, b) is PosetRelation.LESS:
-                    assert a < b
+            nodes = all_vectors(j, q)
+            less = _strictly_less(nodes)
+            for i, k in combinations(range(len(nodes)), 2):
+                if less[i][k]:
+                    assert nodes[i] < nodes[k]
 
 
 def test_hasse_edges_are_the_transitive_reduction():
@@ -181,9 +217,9 @@ def test_hasse_edges_are_the_transitive_reduction():
         for q in range(j + 1):
             d = hasse(j, q)
             nodes = d.nodes
-            strictly_less = {(i, k) for i, a in enumerate(nodes)
-                             for k, b in enumerate(nodes)
-                             if compare(a, b) is PosetRelation.LESS}
+            less = _strictly_less(nodes)
+            strictly_less = {(i, k) for i in range(len(nodes))
+                             for k in range(len(nodes)) if less[i][k]}
             covering = {(i, k) for (i, k) in strictly_less
                         if not any((i, m) in strictly_less and (m, k) in strictly_less
                                    for m in range(len(nodes)))}
@@ -197,8 +233,8 @@ def test_remainder_monotonicity_small():
     assert check_remainder_monotonicity(1).pairs_checked == 0
 
 
-def _monotonicity_by_compare(j, formalism):
-    # one compare call per ordered pair of one weight, in member order
+def _monotonicity_by_walk(j, formalism):
+    # one prefix-sum walk per ordered pair of one weight, in member order
     by_vector = {}
     for n in range(1, 2**j + 1):
         t = poset.trajectory(n, j, formalism)
@@ -211,7 +247,7 @@ def _monotonicity_by_compare(j, formalism):
     for members in by_weight.values():
         for va, m, num_m in members:
             for vb, n, num_n in members:
-                if compare(va, vb) is PosetRelation.LESS:
+                if _compare_by_walk(va, vb) is Rel.LESS:
                     checked += 1
                     if not num_m > num_n:
                         violations.append((m, n))
@@ -222,7 +258,7 @@ def _monotonicity_by_compare(j, formalism):
 def test_monotonicity_report_equals_the_pair_loop(formalism):
     for j in range(1, 11):
         fast = check_remainder_monotonicity(j, formalism)
-        slow = _monotonicity_by_compare(j, formalism)
+        slow = _monotonicity_by_walk(j, formalism)
         assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
         assert fast.ok
 
@@ -244,7 +280,7 @@ def test_monotonicity_violations_are_listed_like_the_pair_loop(monkeypatch, form
     monkeypatch.setattr(poset, "trajectory", bent)
     for j in (5, 6, 8):
         fast = check_remainder_monotonicity(j, formalism)
-        slow = _monotonicity_by_compare(j, formalism)
+        slow = _monotonicity_by_walk(j, formalism)
         assert fast.violations
         assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
 

@@ -323,15 +323,19 @@ def test_cli_reports_a_corrupt_checkpoint(tmp_path, capsys):
     (["--block-size", "0"], "block size must be >= 1, got 0"),
     (["--max-blocks", "-1"], "max blocks must be >= 0, got -1"),
     (["--range", "100..3"], "empty range"),
+    (["--range", "1..10"], "enumeration starts at 3 (1 and 2 have infinitely many hits)"),
 ])
-def test_bad_search_settings_are_refused_at_once(options, message, capsys):
+def test_bad_search_settings_are_refused_at_once(options, message, tmp_path, capsys):
     # a negative block size used to grow the block list without bound, 0 meant
-    # the default, a negative cap silently dropped the last blocks, and an
-    # inverted range reported 0 hits
+    # the default, a negative cap silently dropped the last blocks, an
+    # inverted range reported 0 hits, and a range from 1 wrote its checkpoint
+    # before it failed
+    ck = tmp_path / "ck.txt"
     t0 = time.monotonic()
-    assert main(["search", "--range", "3..100", *options]) == EXIT_FAIL
+    assert main(["search", "--range", "3..100", "--checkpoint", str(ck), *options]) == EXIT_FAIL
     assert time.monotonic() - t0 < 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ck.exists()
 
 
 def test_block_settings_are_checked_by_the_api():
@@ -342,6 +346,13 @@ def test_block_settings_are_checked_by_the_api():
     with pytest.raises(ValueError, match="max blocks"):
         run_search(SearchConfig(3, 100), max_blocks=-1)
     assert run_search(SearchConfig(3, 100), max_blocks=0).blocks_done == 0
+    for lo in (-1, 1, 2):
+        with pytest.raises(ValueError, match="enumeration starts at 3"):
+            SearchConfig(lo, 10)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            SearchConfig(3, 10, budget=budget)
+    assert run_search(SearchConfig(3, 10, budget=10)).complete
 
 
 def _ranges(lo: int, hi: int, width: int):
@@ -384,10 +395,12 @@ def test_blocks_are_computed_by_arithmetic(case):
     lo, hi, block = case
     cfg = SearchConfig(lo, hi, block_size=block)
     listed = _blocks_as_listed(cfg)
-    assert list(cfg.blocks()) == listed and len(cfg.blocks()) == len(listed)
-    assert cfg.blocks()[-1] == listed[-1]
+    starts = cfg.blocks()
+    assert [(idx, lo, min(lo + block - 1, hi)) for idx, lo in enumerate(starts)] == listed
+    assert len(starts) == len(listed)
+    assert starts[-1] == listed[-1][1]
     with pytest.raises(IndexError):
-        cfg.blocks()[len(listed)]
+        starts[len(listed)]
 
 
 _FEW_BLOCKS_OF_MANY = """
