@@ -24,7 +24,7 @@ __all__ = [
     # bounds
     "EnRatioBounds", "RemainderBounds", "coefficient_ceiling_q", "en_ratio_bounds",
     "floor_log_ratio", "harmonic_cap_holds", "harmonic_mean_odd_terms",
-    "mean_remainder", "remainder_bounds", "small_j_classification", "smallest_harmonic_cap_j",
+    "mean_remainders", "remainder_bounds", "small_j_classification", "smallest_harmonic_cap_j",
     # numtheory, precision
     "ApproxPair", "Convergent", "DivergenceWitness", "approx_pairs", "convergents",
     "divergent_to_paradox", "heuristic_j_cap", "pair_in_s", "partial_quotients",
@@ -48,7 +48,7 @@ _EXPORTS = {
     "poset": "HasseDiagram all_vectors covers hasse check_remainder_monotonicity",
     "bounds": "EnRatioBounds RemainderBounds coefficient_ceiling_q en_ratio_bounds "
               "floor_log_ratio harmonic_cap_holds harmonic_mean_odd_terms "
-              "mean_remainder remainder_bounds small_j_classification smallest_harmonic_cap_j",
+              "mean_remainders remainder_bounds small_j_classification smallest_harmonic_cap_j",
     "numtheory": "ApproxPair Convergent DivergenceWitness approx_pairs convergents "
                  "divergent_to_paradox heuristic_j_cap pair_in_s partial_quotients "
                  "ratio_below_log2_log3 rhin_gap_ok",

@@ -9,11 +9,12 @@ whenever the interval straddles (the result is still a proof, just cheaper).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Trajectory, residue_forms, trajectory
+from .dynamics import Trajectory, residue_levels, trajectory
 from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
 # ---------------------------------------------------------------------------
@@ -73,21 +74,34 @@ def remainder_bounds(j: int, q: int) -> RemainderBounds:
                            lower_class, upper_class)
 
 
-def mean_remainder(j: int) -> Fraction:
-    """Arithmetic mean of the compressed-map remainders over one full period
-    n = 1..2**j.
+def mean_remainders(j: int) -> list[Fraction]:
+    """Arithmetic means of the compressed-map remainders over one full period
+    n = 1..2**i, for every length i = 1..j (entry i - 1), from one prefix tree.
 
-    Every residue's remainder numerator c (E = c / 2**j) is added; the forms
-    come from `residue_forms`, a prefix tree over the residues that takes
-    about 2**(j+1) node updates and holds about 2**10 nodes at once.  No
-    recurrence on the sums is used: the j/4 claim is what this checks.
+    Every residue's remainder numerator c (E = c / 2**i) is added.  The
+    lengths below j add the nodes of `residue_levels(j - 1)`.  Length j adds,
+    for each node (r, q, c) of level j - 1 (the root when j = 1), the
+    numerators of its two children, c and 3c + 2**(j-1), without building
+    those 2**j nodes: about 2**j node updates in all, with about 2**10 nodes
+    alive at once.  No recurrence on the sums is used: the j/4 claim is what
+    this checks.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > 22:
         raise ValueError("j > 22 enumerates too many residues")
-    total_num = sum(c for _, _, c in residue_forms(j))   # over 2**(2j)
-    return Fraction(total_num, 1 << (2 * j))
+    top = 1 << (j - 1)
+    sums = [0] * (j + 1)   # sums[i] over 2**(2i)
+    for i, nodes in itertools.chain([(0, [(0, 0, 0)])], residue_levels(j - 1)):
+        sums[i] += sum(c for _, _, c in nodes)
+        if i == j - 1:
+            sums[j] += sum(c + 3 * c + top for _, _, c in nodes)
+    return [Fraction(sums[i], 1 << (2 * i)) for i in range(1, j + 1)]
+
+
+def mean_remainder(j: int) -> Fraction:
+    """The mean remainder at length j: the last entry of `mean_remainders(j)`."""
+    return mean_remainders(j)[-1]
 
 
 # ---------------------------------------------------------------------------

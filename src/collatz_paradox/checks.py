@@ -19,7 +19,7 @@ from . import bounds as B
 from . import numtheory as NT
 from . import poset as P
 from .census import census
-from .dynamics import Formalism, residue_forms, trajectory
+from .dynamics import Formalism, residue_levels, trajectory
 from .records import (RecordKind, RecordTable, ingest_reference_records, reference_path,
                       theorem5_bound_chain)
 from .runner import SearchConfig, SearchResult, hits_csv_text, run_search
@@ -56,6 +56,8 @@ class CheckResult:
 class Scoreboard:
     def __init__(self, threads: int = 4, null_hi: int = 10**6,
                  refs_dir=None, log: Callable[[str], None] | None = None):
+        if threads < 1:   # refused before the first check prints its header
+            raise ValueError("threads must be >= 1")
         if null_hi < 4615:   # the null window is 4615..null_hi
             raise ValueError(f"null window upper end must be >= 4615, got {null_hi}")
         self.threads = threads
@@ -175,16 +177,20 @@ class Scoreboard:
                            f"pairs={sum(r.pairs_checked for r in reports)}")
 
     def property_extremal(self) -> CheckResult:
-        # E = c / 2**j against each bound a/b, cross-multiplied: c*b vs a << j
+        # E = c / 2**i against each bound a/b, cross-multiplied: c*b vs a << i;
+        # one pass over the levels i <= 14 of the residue tree
+        per_level = {}
+        for i in range(1, 15):
+            per_level[i] = per_q = []
+            for q in range(i + 1):
+                rb = B.remainder_bounds(i, q)
+                per_q.append((rb.lower.numerator << i, rb.lower.denominator,
+                              rb.upper.numerator << i, rb.upper.denominator,
+                              rb.lower_class, rb.upper_class))
         bad = 0
-        for j in range(1, 15):
-            per_q = {}
-            for q in range(j + 1):
-                rb = B.remainder_bounds(j, q)
-                per_q[q] = (rb.lower.numerator << j, rb.lower.denominator,
-                            rb.upper.numerator << j, rb.upper.denominator,
-                            rb.lower_class, rb.upper_class)
-            for r, q, c in residue_forms(j):
+        for i, nodes in residue_levels(14):
+            per_q = per_level[i]
+            for r, q, c in nodes:
                 lo_num, lo_den, up_num, up_den, lower_class, upper_class = per_q[q]
                 if not (lo_num <= c * lo_den and c * up_den <= up_num):
                     bad += 1
@@ -197,7 +203,8 @@ class Scoreboard:
                            bad == 0, f"violations={bad}")
 
     def property_mean(self) -> CheckResult:
-        bad = [j for j in range(1, 19) if B.mean_remainder(j) != Fraction(j, 4)]
+        means = B.mean_remainders(18)
+        bad = [j for j, m in enumerate(means, 1) if m != Fraction(j, 4)]
         return CheckResult("mean remainder equals j/4, j <= 18", not bad, f"bad={bad}")
 
     def property_poset_equivalence(self) -> CheckResult:

@@ -148,48 +148,49 @@ def trajectory(n: int, j: int, formalism: Formalism = Formalism.SHORTCUT) -> Tra
     return Trajectory(n, formalism, tuple(iterates), q, e, num)
 
 
-_TREE_LEVELS = 10   # levels built at once by residue_forms: at most 2**10 leaves
+_TREE_LEVELS = 10   # levels built at once by residue_levels: at most 2**10 nodes a slab
 
 
-def residue_forms(j: int):
-    """Yield (r, q, c) for every residue r mod 2**j, each once, in no set order.
+def residue_levels(j: int):
+    """Yield (i, nodes) for the levels i = 1..j of a prefix tree over the
+    residues: each level's nodes (r, q, c), one per residue r mod 2**i, come
+    in one or more lists, in no set order, so one pass serves every length.
 
-    On the compressed map every x = r (mod 2**j) has the same first j
-    parities, so T**j(x) = (3**q * x + c) / 2**j with q odd steps and c the
-    remainder numerator, the `e_num` of `trajectory(x, j)` (R. Terras, "A
+    On the compressed map every x = r (mod 2**i) has the same first i
+    parities, so T**i(x) = (3**q * x + c) / 2**i with q odd steps and c the
+    remainder numerator, the `e_num` of `trajectory(x, i)` (R. Terras, "A
     stopping time problem on the positive integers", 1976).
 
-    The forms come from a prefix tree.  The node of r mod 2**i holds the form
-    of the first i steps, and step i + 1 is odd iff (3**q * r + c) >> i & 1,
-    so the node's two children r and r + 2**i (mod 2**(i+1)) take one odd and
-    one even step: about 2**(j+1) node updates, not j * 2**j steps.  Memory
-    stays bounded: the tree is built _TREE_LEVELS levels at a time, and each
-    node of such a slab is expanded into its own subtree before the next, so
-    no more than about 2**10 nodes per slab are alive at once.
+    The node of r mod 2**i holds the form of the first i steps, and step
+    i + 1 is odd iff (3**q * r + c) >> i & 1, so the node's two children r and
+    r + 2**i (mod 2**(i+1)) take one odd and one even step: about 2**(j+1)
+    node updates in all, not j * 2**j steps.  Memory stays bounded: the tree
+    is built _TREE_LEVELS levels at a time, and each node of such a slab is
+    expanded into its own subtree before the next, so no more than about
+    2**10 nodes per slab are alive at once.  A level below the first slab
+    thus comes as many lists, one per subtree.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     pow3 = [3**q for q in range(j + 1)]
 
-    def expand(level, i, stop):
+    def subtree(node, i):
+        stop = min(i + _TREE_LEVELS, j)
+        nodes = [node]
         for i in range(i, stop):
             bit = 1 << i
-            nodes = []
-            for r, q, c in level:
+            children = []
+            for r, q, c in nodes:
                 if (pow3[q] * r + c) >> i & 1:
-                    nodes.append((r, q + 1, 3 * c + bit))
-                    nodes.append((r | bit, q, c))
+                    children.append((r, q + 1, 3 * c + bit))
+                    children.append((r | bit, q, c))
                 else:
-                    nodes.append((r, q, c))
-                    nodes.append((r | bit, q + 1, 3 * c + bit))
-            level = nodes
-        return level
-
-    def subtree(node, i):
-        if j - i <= _TREE_LEVELS:
-            yield from expand([node], i, j)
-            return
-        for child in expand([node], i, i + _TREE_LEVELS):
-            yield from subtree(child, i + _TREE_LEVELS)
+                    children.append((r, q, c))
+                    children.append((r | bit, q + 1, 3 * c + bit))
+            nodes = children
+            yield i + 1, nodes
+        if stop < j:
+            for child in nodes:
+                yield from subtree(child, stop)
 
     return subtree((0, 0, 0), 0)

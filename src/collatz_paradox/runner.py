@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import hashlib
 import itertools
 import os
 import signal
@@ -70,6 +69,7 @@ class SearchConfig:
             raise ValueError(f"block size must be >= 1, got {self.block_size}")
 
     def digest(self) -> str:
+        import hashlib   # here: a process that never checkpoints loads no OpenSSL
         key = f"v1|{self.lo}|{self.hi}|{self.formalism.value}|{self.budget}|{self.block_size}"
         return hashlib.sha256(key.encode()).hexdigest()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
                                     harmonic_mean_odd_terms, mean_remainder,
+                                    mean_remainders,
                                     remainder_bounds,
                                     small_j_classification, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
@@ -63,11 +65,12 @@ def test_remainder_bounds_classes_attained():
 
 
 def test_mean_remainder():
-    assert mean_remainder(1) == Fraction(1, 4)
-    assert mean_remainder(2) == Fraction(1, 2)
-    assert mean_remainder(12) == 3
-    with pytest.raises(ValueError):
-        mean_remainder(23)
+    assert mean_remainders(1) == [Fraction(1, 4)]
+    assert mean_remainders(2) == [Fraction(1, 4), Fraction(1, 2)]
+    assert mean_remainders(12)[-1] == mean_remainder(12) == 3
+    for j in (-1, 0, 23):
+        with pytest.raises(ValueError):
+            mean_remainders(j)
 
 
 def _mean_remainder_by_walks(j: int) -> Fraction:
@@ -87,18 +90,37 @@ def _mean_remainder_by_walks(j: int) -> Fraction:
 
 
 def test_mean_remainder_equals_one_walk_per_residue():
-    for j in range(1, 15):
-        assert mean_remainder(j) == _mean_remainder_by_walks(j), j
+    walks = [_mean_remainder_by_walks(i) for i in range(1, 15)]
+    assert mean_remainders(14) == walks   # one tree for every length
+    for j in range(1, 9):                 # length j from the children of level j - 1
+        assert mean_remainders(j) == walks[:j], j
 
 
 def test_mean_remainder_memory_is_bounded():
     tracemalloc.start()
     try:
-        assert mean_remainder(18) == Fraction(18, 4)
+        assert mean_remainders(18) == [Fraction(i, 4) for i in range(1, 19)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_property_extremal_fails_on_one_wrong_bound_at_length_14(monkeypatch):
+    from collatz_paradox import bounds, checks
+
+    real = bounds.remainder_bounds
+
+    def wrong(j, q):   # the upper bound at (14, 9) lowered by 2**-14
+        rb = real(j, q)
+        if (j, q) == (14, 9):
+            rb = dataclasses.replace(rb, upper=rb.upper - Fraction(1, 1 << 14))
+        return rb
+
+    assert checks.Scoreboard(threads=1).property_extremal().ok
+    monkeypatch.setattr(bounds, "remainder_bounds", wrong)
+    result = checks.Scoreboard(threads=1).property_extremal()
+    assert not result.ok and result.detail != "violations=0"
 
 
 def test_paradox_witness_published_examples():

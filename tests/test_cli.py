@@ -384,6 +384,13 @@ def test_check_refuses_a_null_window_below_4615_before_any_search(capsys):
     assert err == "error: null window upper end must be >= 4615, got 100\n"
 
 
+def test_check_refuses_threads_below_1_before_any_output(capsys):
+    assert main(["check", "--threads", "0"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: threads must be >= 1\n"
+
+
 def test_usage_without_command(capsys):
     assert main([]) == 2
 

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from itertools import islice
@@ -5,7 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatz_paradox.dynamics import (BudgetExhausted, Formalism, orbit, residue_forms,
+from collatz_paradox.dynamics import (BudgetExhausted, Formalism, orbit, residue_levels,
                                       step, trajectory)
 
 
@@ -164,13 +165,23 @@ def test_budget_exception_fields():
     assert exc.n == 27 and exc.budget == 10
 
 
-def test_residue_forms_equal_the_trajectories_of_one_period():
-    # 2**10 leaves per slab: j = 11 and 12 also cover the subtree expansion
-    for j in range(0, 13):
-        forms = sorted(residue_forms(j))
-        assert [r for r, _, _ in forms] == list(range(1 << j)), j
-        for n in range(1, (1 << j) + 1):
-            t = trajectory(n, j)
-            assert forms[n % (1 << j)] == (n % (1 << j), t.q, t.e_num), (n, j)
+def test_residue_levels_equal_the_trajectories_of_one_period():
+    # 2**10 nodes per slab: j = 11 and 12 also cover the subtree expansion
+    for j in (11, 12):
+        levels = collections.defaultdict(list)
+        for i, nodes in residue_levels(j):
+            levels[i] += nodes
+        assert sorted(levels) == list(range(1, j + 1)), j
+        for i, forms in levels.items():
+            forms.sort()
+            assert [r for r, _, _ in forms] == list(range(1 << i)), (i, j)
+            for n in range(1, (1 << i) + 1):
+                t = trajectory(n, i)
+                assert forms[n % (1 << i)] == (n % (1 << i), t.q, t.e_num), (n, i, j)
+    sizes = collections.Counter()
+    for i, nodes in residue_levels(18):
+        sizes[i] += len(nodes)
+    assert sizes == {i: 1 << i for i in range(1, 19)}
+    assert list(residue_levels(0)) == []
     with pytest.raises(ValueError):
-        residue_forms(-1)
+        residue_levels(-1)
