@@ -69,9 +69,17 @@ class SearchConfig:
             raise ValueError(f"block size must be >= 1, got {self.block_size}")
 
     def digest(self) -> str:
-        import hashlib   # here: a process that never checkpoints loads no OpenSSL
+        # CPython's own sha256, the one hashlib falls back to: hashlib maps
+        # OpenSSL's libcrypto (about 3.6 MB of RSS) to hash these 60 bytes.
+        try:
+            from _sha2 import sha256          # Python 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256    # Python 3.10 and 3.11
+            except ImportError:
+                from hashlib import sha256    # a build without them (FIPS)
         key = f"v1|{self.lo}|{self.hi}|{self.formalism.value}|{self.budget}|{self.block_size}"
-        return hashlib.sha256(key.encode()).hexdigest()
+        return sha256(key.encode()).hexdigest()
 
     def blocks(self) -> range:
         """The first start of each block; a block ends block_size - 1 later, or at hi."""
@@ -195,11 +203,11 @@ def _open_journal(path: Path, cfg: SearchConfig):
     return journal, {}
 
 
-def _scan_block_task(args: tuple[int, int, Formalism, int]) -> list[tuple[int, int]]:
+def _scan_block_task(args: tuple[int, int, Formalism, int, tuple[int, int]]) -> list[tuple[int, int]]:
     # Module-level, so a pool can pickle it by name; scan_paradoxes is looked
     # up when it runs.
-    lo, hi, formalism, budget = args
-    return scan_paradoxes(lo, hi, formalism, budget)
+    lo, hi, formalism, budget, search_range = args
+    return scan_paradoxes(lo, hi, formalism, budget, search_range)
 
 
 def _in_order(pool, tasks, window: int):
@@ -243,7 +251,8 @@ def run_search(cfg: SearchConfig, threads: int = 1,
         if max_blocks is not None:
             todo = min(todo, max_blocks)
         pending = itertools.islice(((i, lo) for i, lo in enumerate(blocks) if i not in done), todo)
-        tasks = ((idx, (lo, min(lo + cfg.block_size - 1, cfg.hi), cfg.formalism, cfg.budget))
+        tasks = ((idx, (lo, min(lo + cfg.block_size - 1, cfg.hi), cfg.formalism, cfg.budget,
+                        (cfg.lo, cfg.hi)))
                  for idx, lo in pending)
         # A fork pool starts all of its workers at the first submit.
         workers = min(threads, todo)

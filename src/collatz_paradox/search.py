@@ -55,7 +55,6 @@ from .dynamics import BudgetExhausted, Formalism, orbit, trajectory
 
 INFINITE = math.inf
 DEFAULT_BUDGET = 1_000_000
-I64_MAX = (1 << 63) - 1
 
 _BL3: list[int] = [1]   # _BL3[q] = bit_length(3**q)
 
@@ -128,15 +127,18 @@ def max_excursion(n: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def fill_excursion_memo(memo, lo: int, hi: int) -> None:
-    """Set memo[n] = max_excursion(n) for lo <= n < hi (memo[0] = 0), where
-    memo[m] holds it already for every m < lo.
+    """Set memo[n] = min(max_excursion(n), _MEMO_MAX) for lo <= n < hi
+    (memo[0] = 0), where memo[m] holds it already for every m < lo.
 
     Each walk stops at its first iterate below the start and reuses the
     already known excursion of that iterate, so a start costs a few steps
-    instead of a full descent to 1.  memo is any int64 buffer of at least hi
-    entries; the scans fill the process memo below with it.  The record scans
-    keep no excursion memo (see records.compute_records).
+    instead of a full descent to 1.  Entries saturate at _MEMO_MAX = 2**32 - 1,
+    so memo is any buffer of 4-byte or wider words of at least hi entries: the
+    max of a walk's exact peak and a saturated entry is the saturated max.
+    The scans fill the process memo below with it.  The record scans keep no
+    excursion memo (see records.compute_records).
     """
+    top = _MEMO_MAX
     for n in range(lo, hi):
         if n < 3:
             memo[n] = n
@@ -153,20 +155,20 @@ def fill_excursion_memo(memo, lo: int, hi: int) -> None:
         m = memo[cur]
         if m > peak:
             peak = m
-        if peak > I64_MAX:
-            raise OverflowError("excursion exceeds the memo word size")
-        memo[n] = peak
+        memo[n] = peak if peak < top else top
 
 
-_MEMO_FULL = 1 << 20    # 8 MB of int64, 0.75-0.97 s to build
+_MEMO_MAX = (1 << 32) - 1   # the greatest memo word; entries saturate there
+_MEMO_FULL = 1 << 24    # the cap: 64 MB of 4-byte words, about 11 s to build
 _MEMO_FAR = 1 << 16     # about 0.03 s to build
 # The greatest excursion of a start below _MEMO_FAR (that of 60975): a range
 # from 2 * _MEMO_FAR_PEAK + 1 up reads no entry of the far memo to any effect.
 _MEMO_FAR_PEAK = 296_639_576
-# The process memo: an anonymous shared mapping of _MEMO_FULL int64 entries
+# The process memo: an anonymous shared mapping of _MEMO_FULL 4-byte entries
 # followed by one slot that holds how many of them are built.  It is made on
 # first use; a process forked after that shares it, so the workers of a pool
-# grow one memo between them (see memo_shared_by_forks).
+# grow one memo between them (see memo_shared_by_forks).  Only the pages of
+# the entries built are ever touched.
 _memo: memoryview | None = None
 _memo_lock = threading.Lock()     # guards its growth; a process lock while a pool runs
 _tables_lock = threading.Lock()   # guards the creation of the memo and the jump table
@@ -177,49 +179,80 @@ def _process_memo() -> memoryview:
     if _memo is None:
         with _tables_lock:
             if _memo is None:
-                _memo = memoryview(mmap.mmap(-1, 8 * (_MEMO_FULL + 1))).cast("q")
+                _memo = memoryview(mmap.mmap(-1, 4 * (_MEMO_FULL + 1))).cast("I")
     return _memo
 
 
-def _memo_for_range(n_lo: int, n_hi: int) -> tuple[memoryview, int]:
-    """The process-wide excursion memo, grown to cover what [n_lo, n_hi] needs,
-    and the size asked for.
+def _memo_floor(lo: int, hi: int) -> int:
+    """The walk floor of a search of [lo, hi]; see _memo_for_range."""
+    size = min(hi + 1, _MEMO_FULL)
+    if lo > 2 * _MEMO_FAR_PEAK or size > 2 * (hi - lo + 1):
+        return _MEMO_FAR
+    return size
 
-    A range that starts inside the first 2**20 starts gets a memo up to its
-    own end (at most 2**20), since its walks mostly fall just below their
-    start.  A range beyond gets only 2**16 entries: its walks must fall that
-    far before the exit can fire, but short runs far out (one CLI process
-    per window) would otherwise pay the full build each.
 
-    A range from 2*M + 1 = 593279153 up (M = _MEMO_FAR_PEAK, the greatest
-    excursion below 2**16) fills no entry.  Its walks exit at their first
-    halving onto cur < 2**16, whatever the memo holds there: the exit test
-    memo[cur] < thr reads either a built entry, a true excursion <= M, or an
-    unbuilt one, 0, and thr > M on both maps (thr = n on the shortcut map,
-    (n + 1) >> 1 >= M + 1 on the classic one).  So its walks, their exits
-    and the step budget are those of a filled memo, and a process that scans
-    only such ranges skips the fill (about 0.03 s).
+def _memo_for_range(n_lo: int, n_hi: int, floor: int) -> tuple[memoryview, int]:
+    """The process-wide excursion memo, grown to cover what the block
+    [n_lo, n_hi] of a search with walk floor `floor` reads, and the walk floor
+    of the block.
 
+    The floor is set once per search, by _memo_floor from its lo and hi: a
+    start below it walks inside the memo (its walk may end at any halving
+    below the start), and a start at or above it walks until it falls below
+    the floor.  A search gets the memo up to min(hi + 1, 2**24) when that
+    many entries are at most twice its starts.  Building an entry takes
+    0.4-0.6 us, and a start near 10**7 takes about 1.5 us inside the memo
+    against 5.4 us down to 2**16, so the build pays from about one start per
+    six entries.  Past 2**24 the starts walk down to 2**24: 4.3 against
+    6.0 us a start at 10**8, 6.8 against 8.1 at 10**9.  Any other search
+    gets 2**16 entries: its walks must fall that far before the exit can
+    fire, but a short run far out (one CLI process per window) would
+    otherwise pay a build of millions of entries for a few thousand starts.
+    A search from 593279153 up gets 2**16 entries whatever its size, so that
+    it builds none (see below).
+
+    Entries saturate at S = _MEMO_MAX = 2**32 - 1 (see fill_excursion_memo),
+    which is exact where a scan reads them: it reads an entry only as
+    memo[cur] < thr with thr <= n, and for every n <= S that test gives the
+    same answer on min(excursion, S) as on the excursion.  No entry below
+    2**16 saturates (the greatest is M below), so a block with starts above S
+    walks down to 2**16 whatever the search's floor.  88 entries below 2**20
+    saturate, the first at 159487; the greatest excursion there is
+    45119577824, of 1042431.
+
+    A block from 2*M + 1 = 593279153 up (M = _MEMO_FAR_PEAK, the greatest
+    excursion below 2**16) with floor 2**16 fills no entry.  Its walks exit
+    at their first halving onto cur < 2**16, whatever the memo holds there:
+    the exit test memo[cur] < thr reads either a built entry, a true
+    excursion <= M, or an unbuilt one, 0, and thr > M on both maps (thr = n
+    on the shortcut map, (n + 1) >> 1 >= M + 1 on the classic one).  So its
+    walks, their exits and the step budget are those of a filled memo, and a
+    process that scans only such ranges skips the fill (about 0.03 s).
+
+    Any other block fills the memo up to min(n_hi + 1, floor), the entries it
+    reads, so the first block of 3..10**15 builds one entry a start, not 2**24.
     The memo grows from the length it holds, under _memo_lock, so the
     processes that share it build each entry once between them.  The
     entries are written before the length, so a process that dies while it
     fills leaves no entry counted as built; the next one refills them.
 
-    The memo only grows, so it may hold more entries than the size; a scan
-    uses the size, which depends on the range alone, so that how long a walk
-    runs before its exit (what the step budget bounds) does not depend on
-    what the process scanned before.
+    The memo only grows, so it may hold more entries than the floor; a scan
+    uses the floor, which depends on the search and the block alone, so that
+    how long a walk runs before its exit (what the step budget bounds) does
+    not depend on what the process scanned before.
     """
-    size = min(n_hi + 1, _MEMO_FULL) if n_lo <= _MEMO_FULL else _MEMO_FAR
+    if n_hi > _MEMO_MAX:
+        floor = _MEMO_FAR
     memo = _process_memo()
-    if n_lo > 2 * _MEMO_FAR_PEAK:
-        return memo, size
+    if floor <= _MEMO_FAR and n_lo > 2 * _MEMO_FAR_PEAK:
+        return memo, floor
+    size = min(n_hi + 1, floor)
     with _memo_lock:
         filled = memo[_MEMO_FULL]
         if filled < size:
             fill_excursion_memo(memo, filled, size)
             memo[_MEMO_FULL] = size
-    return memo, size
+    return memo, floor
 
 
 @contextlib.contextmanager
@@ -380,8 +413,13 @@ class ParadoxHit:
 
 
 def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTCUT,
-                   budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
+                   budget: int = DEFAULT_BUDGET,
+                   search_range: tuple[int, int] | None = None) -> list[tuple[int, int]]:
     """Raw (n, j) pairs of every paradox with n_lo <= n <= n_hi, sorted.
+
+    search_range is the (lo, hi) of the search this range is a block of; it
+    sets the memo's walk floor (see _memo_for_range).  A call without it is
+    a search of its own range.
 
     This is the hot loop.  Both maps walk compressed steps with counts q (odd
     steps) and e (halvings); j = e on the shortcut map and j = e + q on the
@@ -390,8 +428,8 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     j - 1 with one halving fewer: a hit when 2 * T(x) >= n and bl3[q] < e.
 
     Each walk ends at the first halving step onto some cur < lim (lim = n
-    inside the memo; beyond it, the memo size that _memo_for_range gives for
-    this range) whose excursion memo[cur] is below thr, where thr = n on the
+    inside the memo; beyond it, the walk floor that _memo_for_range gives
+    for this block) whose excursion memo[cur] is below thr, where thr = n on the
     shortcut map and (n + 1) >> 1 on the classic map (2 * memo[cur] < n); see
     the module docstring for why no hit is lost.
 
@@ -428,7 +466,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
         raise ValueError("empty range")
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
-    memo, size = _memo_for_range(n_lo, n_hi)
+    memo, size = _memo_for_range(n_lo, n_hi, _memo_floor(*(search_range or (n_lo, n_hi))))
     jump_hi = size if n_lo < size and budget >= 2 * JUMP_K else 0   # start jumps below
     rows = _jump_rows() if n_hi >= size or jump_hi else None
     out: list[tuple[int, int]] = []

@@ -87,6 +87,19 @@ def test_refuses_a_file_given_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_names_the_commits_of_runs_from_extracted_copies(tmp_path):
+    # runs from a `git archive` copy have no git_commit in their metadata
+    parent = [_result(tmp_path, "p0", "aa", 2.0)]
+    change = [_result(tmp_path, "c0", "bb", 1.0)]
+    out = tmp_path / "BENCH_00_x.json"
+    argv = ["--parent", str(parent[0]), "--change", str(change[0]), "--out", str(out)]
+    assert bench_record.main(argv + ["--change-commit", "def5678"]) == 0
+    assert json.loads(out.read_text())["commits"] == {"parent": None, "change": "def5678"}
+    assert bench_record.main(argv + ["--parent-commit", "abc1234",
+                                     "--change-commit", "def5678"]) == 0
+    assert json.loads(out.read_text())["commits"] == {"parent": "abc1234", "change": "def5678"}
+
+
 def test_writes_the_bench_file(tmp_path):
     parent = [_result(tmp_path, "p0", "aa", 2.0)]
     change = [_result(tmp_path, "c0", "bb", 1.0)]

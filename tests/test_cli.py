@@ -260,12 +260,15 @@ def test_a_budget_takes_the_bound_notations(capsys):
 
 
 def test_budget_error_is_the_same_after_a_resume(tmp_path):
-    # The blocks below 2**20 grow the process memo to 2**20; a resumed run in
-    # a fresh process skips them.  The far block must fail the same way.
+    # The first two blocks lie below the memo's cap of 2**24, the rest past
+    # it; a resumed run in a fresh process skips the first two.  The search
+    # sets the walk floor, 2**16, for every block, so the block past the cap
+    # must fail the same way: 16777919 walks 275 steps down to 2**16, and no
+    # start before it more than 274.
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
     ck = tmp_path / "ck.txt"
     base = [sys.executable, "-m", "collatz_paradox.cli", "search",
-            "--range", "1048000..1051000", "--block-size", "512", "--budget", "132"]
+            "--range", "16776192..16779192", "--block-size", "512", "--budget", "274"]
     runs = [subprocess.run(base + extra, env=env, capture_output=True, text=True)
             for extra in ([], ["--checkpoint", str(ck), "--max-blocks", "2"],
                           ["--checkpoint", str(ck)])]
@@ -273,7 +276,7 @@ def test_budget_error_is_the_same_after_a_resume(tmp_path):
     assert cut.returncode == EXIT_INCOMPLETE, cut.stderr
     assert whole.returncode == resumed.returncode == EXIT_FAIL
     assert whole.stderr == resumed.stderr
-    assert "(n = 1050578, budget = 132)" in resumed.stderr
+    assert "(n = 16777919, budget = 274)" in resumed.stderr
 
 
 def test_records_refuses_a_range_it_cannot_hold(capsys):

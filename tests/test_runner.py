@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -16,14 +18,15 @@ from hypothesis import given, settings, strategies as st
 import collatz_paradox
 from collatz_paradox import runner
 from collatz_paradox.cli import EXIT_FAIL, EXIT_INCOMPLETE, main
-from collatz_paradox.dynamics import Formalism
+from collatz_paradox.dynamics import BudgetExhausted, Formalism
 from collatz_paradox.runner import CheckpointCorrupt, SearchConfig, hits_csv_text, run_search
+from collatz_paradox.search import scan_paradoxes
 
 MEMO_FULL = 1 << 20
 
 
 def _first_block_fails(args):
-    lo, hi, formalism, budget = args
+    lo = args[0]
     if lo == 3:
         raise RuntimeError("first block failed")
     time.sleep(0.2)
@@ -265,6 +268,34 @@ def test_a_version_1_checkpoint_resumes(tmp_path):
     assert ck.read_text().startswith(_VERSION_1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(3, 1 << 70), width=st.integers(0, 1 << 40),
+       formalism=st.sampled_from(Formalism), budget=st.integers(1, 1 << 40),
+       block_size=st.integers(1, 1 << 40))
+def test_the_digest_is_the_sha256_of_the_config_key(lo, width, formalism, budget, block_size):
+    cfg = SearchConfig(lo, lo + width, formalism, budget, block_size)
+    key = f"v1|{cfg.lo}|{cfg.hi}|{cfg.formalism.value}|{cfg.budget}|{cfg.block_size}"
+    assert cfg.digest() == hashlib.sha256(key.encode()).hexdigest()
+
+
+_CHECKPOINTED_SEARCH = """
+    import sys
+    from collatz_paradox.cli import main
+    status = main(["search", "--range", "3..10^5", "--threads", "2",
+                   "--checkpoint", sys.argv[1], "--out", sys.argv[2]])
+    print(status, "_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this Python has no built-in sha256 module")
+def test_a_checkpointed_search_loads_no_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, about 3.6 MB of RSS, to hash one key
+    out = _python(_CHECKPOINTED_SEARCH, str(tmp_path / "ck.txt"), str(tmp_path / "hits.csv"))
+    assert out.splitlines()[-1] == "0 False"
+    assert (tmp_path / "ck.txt").read_text().count("done=") == 2
+
+
 def test_a_version_2_checkpoint_resumes(tmp_path):
     # version 2: done=<block> with no hit count; its blocks resume unchecked
     ck = tmp_path / "ck.txt"
@@ -369,8 +400,8 @@ def _with_block_size(ranges):
 @settings(max_examples=40, deadline=None)
 @given(case=_with_block_size(st.one_of(
            _ranges(3, 10**4 - 2000, 2000),                       # where the hits lie
-           st.tuples(st.integers(MEMO_FULL - 60, MEMO_FULL),      # straddles the 2**20 memo
-                     st.integers(MEMO_FULL + 1, MEMO_FULL + 60)),
+           st.tuples(st.integers(MEMO_FULL - 60, MEMO_FULL),      # straddles 2**20, sparse:
+                     st.integers(MEMO_FULL + 1, MEMO_FULL + 60)),  # the 2**16 floor
            _ranges(MEMO_FULL + 1, 1 << 40, 40))),                 # the 2**16 far memo
        threads=st.integers(1, 2), formalism=st.sampled_from(Formalism))
 def test_pool_run_equals_a_serial_run(case, threads, formalism):
@@ -379,6 +410,25 @@ def test_pool_run_equals_a_serial_run(case, threads, formalism):
     serial = run_search(SearchConfig(lo, hi, formalism), threads=1)
     assert pooled.pairs == serial.pairs
     assert hits_csv_text(pooled, timestamp=False) == hits_csv_text(serial, timestamp=False)
+
+
+# A dense search that straddles 2**20, so its memo floor, 2**20 + 4097, lies
+# past every start.  At the budget 218 every walk inside that memo ends, but
+# the start 626331 takes more steps down to 2**16, where a block scanned as a
+# search of its own would walk.
+_STRADDLE = SearchConfig(1 << 19, MEMO_FULL + 4096, budget=218, block_size=4096)
+
+
+def test_a_dense_search_past_2_20_is_the_same_in_pool_serial_and_resumed_runs(tmp_path):
+    want = run_search(_STRADDLE)
+    assert want.complete and want.pairs == []
+    with pytest.raises(BudgetExhausted, match=r"\(n = 626331, budget = 218\)"):
+        scan_paradoxes(626331, 626331, budget=218)
+    ck = tmp_path / "ck.txt"
+    assert run_search(_STRADDLE, checkpoint=ck, max_blocks=60).blocks_done == 60
+    runs = [run_search(_STRADDLE, threads=2), run_search(_STRADDLE, threads=2, checkpoint=ck)]
+    for got in runs:
+        assert hits_csv_text(got, timestamp=False) == hits_csv_text(want, timestamp=False)
 
 
 def _blocks_as_listed(cfg):
@@ -508,7 +558,7 @@ _DEAD_WORKER = """
         if os.getpid() != parent and hi > 20000:
             mid = (lo + hi) // 2
             real_fill(memo, lo, mid)
-            memo[mid:hi] = memoryview(bytes(8 * (hi - mid))).cast("q")   # wrong entries
+            memo[mid:hi] = memoryview(bytes(4 * (hi - mid))).cast("I")   # wrong entries
             os.kill(os.getpid(), signal.SIGKILL)   # with the memo lock held
         real_fill(memo, lo, hi)
 

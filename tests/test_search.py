@@ -345,15 +345,31 @@ def _windows(lo: int, hi: int, width: int = 8):
 @given(window=st.one_of(
            _windows(3, 9229, width=64),                             # every known hit
            _windows(3, 400, width=40),                              # straddles every nmax
-           _windows(3, MEMO_FULL - 9),                              # inside the memo
+           _windows(3, MEMO_FULL - 9),                              # a search of its own:
            _windows(MEMO_FULL - 8, MEMO_FULL).filter(lambda w: w[1] > MEMO_FULL),
-           _windows(MEMO_FULL + 1, 1 << 40),                        # beyond it
+           _windows(MEMO_FULL + 1, 1 << 40),                        # beyond its 2**16 floor
            _windows(1 << 64, (1 << 64) + (1 << 40))),               # beyond int64
        formalism=st.sampled_from(Formalism))
 def test_scan_matches_naive_oracle(window, formalism):
     lo, hi = window
     j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
     assert scan_paradoxes(lo, hi, formalism) == naive_paradoxes(lo, hi, j_max, formalism)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.one_of(
+           _windows(3, 9229, width=64),
+           _windows(3, MEMO_FULL - 9),
+           _windows(MEMO_FULL - 8, MEMO_FULL).filter(lambda w: w[1] > MEMO_FULL)),
+       formalism=st.sampled_from(Formalism))
+def test_blocks_of_a_dense_search_match_naive_oracle(window, formalism):
+    # Blocks of the search 3..2**20 + 8, whose memo floor lies past every
+    # start: each walk may end at any halving below its start, reading
+    # entries that saturate at 2**32 - 1.
+    lo, hi = window
+    j_max = max(delay(n, formalism) for n in range(lo, hi + 1)) + 1
+    fast = scan_paradoxes(lo, hi, formalism, search_range=(3, MEMO_FULL + 8))
+    assert fast == naive_paradoxes(lo, hi, j_max, formalism)
 
 
 def test_excursion_memo_matches_max_excursion():
@@ -365,17 +381,51 @@ def test_excursion_memo_matches_max_excursion():
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=st.integers(1, MEMO_FULL - 1))
+@given(m=st.integers(1, MEMO_FULL))
 def test_process_memo_matches_max_excursion(m):
-    memo, size = search._memo_for_range(3, MEMO_FULL)
-    assert size == MEMO_FULL and memo[m] == max_excursion(m)
+    # the memo of the search 3..2**20, its entries saturated at 2**32 - 1
+    memo, size = search._memo_for_range(3, MEMO_FULL, search._memo_floor(3, MEMO_FULL))
+    assert size == MEMO_FULL + 1 and memo[m] == min(max_excursion(m), search._MEMO_MAX)
+
+
+def test_memo_fill_saturates_at_2_32():
+    # 4-byte words, against exact peaks: each start walks to its first
+    # iterate below it, whose exact peak is known by then
+    n_hi = 1 << 18
+    memo = array("I", bytes(4)) * n_hi
+    fill_excursion_memo(memo, 0, n_hi)
+    exact = array("q", bytes(8)) * n_hi
+    for n in range(1, n_hi):
+        cur = peak = n
+        while cur >= n and n > 2:
+            cur = (3 * cur + 1) >> 1 if cur & 1 else cur >> 1
+            peak = max(peak, cur)
+        exact[n] = max(peak, exact[cur]) if n > 2 else n
+    saturated = [n for n in range(n_hi) if exact[n] > search._MEMO_MAX]
+    assert saturated[0] == 159487 and exact[159487] == 8601188876
+    assert [exact[n] for n in saturated] == [max_excursion(n) for n in saturated]
+    assert list(memo) == [min(x, search._MEMO_MAX) for x in exact]
+    assert search._MEMO_MAX == (1 << 32) - 1 == memo[159487]
+
+
+def test_the_walk_floor_depends_on_the_search_alone():
+    floor = search._memo_floor
+    assert floor(3, 10**6) == 10**6 + 1           # the census: one memo entry a start
+    assert floor(4615, 10**7) == 10**7 + 1
+    assert floor(1 << 19, (1 << 20) + 1) == (1 << 20) + 2
+    assert floor(3, 10**15) == 1 << 24            # past the cap, walks end below it
+    assert floor(2**23, 2**23 + 1000) == 1 << 16  # 2**23 entries for 1001 starts: no
+    assert floor(5000, 9999) == 10000
+    assert floor(5001, 9999) == 1 << 16           # fewer starts than half the entries
+    assert floor(593279152, 10**9) == 1 << 24
+    assert floor(593279153, 10**10) == 1 << 16    # no fill at all (see below)
 
 
 def test_memo_is_lazy_and_sized_by_the_range():
     # a fresh process: the memo is built by scans only, never at import or by
-    # the record scans; a range beyond 2**20 gets only 2**16 entries, and one
-    # from 2 * _MEMO_FAR_PEAK + 1 up none; the jump rows are built by the
-    # first record scan or paradox scan
+    # the record scans; a sparse search gets only 2**16 entries, one from
+    # 2 * _MEMO_FAR_PEAK + 1 up none, and a block only the entries it reads;
+    # the jump rows are built by the first record scan or paradox scan
     code = "\n".join([
         "from collatz_paradox import records, search",
         "assert search._memo is None and len(search._jump_table) == 0",
@@ -396,7 +446,15 @@ def test_memo_is_lazy_and_sized_by_the_range():
         "search.scan_paradoxes(far - 1, far + 10)",
         "assert filled() == 1 << 16",
         "search.scan_paradoxes(100000, 100010)",
+        "assert filled() == 1 << 16",
+        "search.scan_paradoxes(2**23, 2**23 + 1000)",
+        "assert filled() == 1 << 16",
+        "memo, floor = search._memo_for_range(2**32 - 5, 2**32 + 5, 1 << 24)",
+        "assert floor == 1 << 16 and filled() == 1 << 16",
+        "search.scan_paradoxes(50000, 100010)",
         "assert filled() == 100011",
+        "search.scan_paradoxes(999000, 10**6, search_range=(3, 10**6))",
+        "assert filled() == 10**6 + 1",
         "assert len(search._jump_table) == 1 << search.JUMP_K",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
@@ -544,7 +602,7 @@ def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
 def _fresh_memo(size: int):
     memo = array("q", bytes(8)) * size
     fill_excursion_memo(memo, 0, size)
-    return lambda n_lo, n_hi: (memo, size)
+    return lambda *block: (memo, size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,7 +676,7 @@ def test_far_windows_read_an_empty_memo_as_a_filled_one():
         "def same(lo, width, formalism, budget):",
         "    empty = outcome(lo, lo + width, formalism, budget, process_memo)",
         "    assert empty == outcome(lo, lo + width, formalism, budget,",
-        "                            lambda n_lo, n_hi: (filled, 1 << 16))",
+        "                            lambda n_lo, n_hi, floor: (filled, 1 << 16))",
         "same()",
         "assert search._memo[search._MEMO_FULL] == 0 and not any(search._memo[:1 << 16])",
     ])
@@ -627,10 +685,14 @@ def test_far_windows_read_an_empty_memo_as_a_filled_one():
 
 
 def test_budget_does_not_depend_on_what_the_process_scanned_before():
-    # A far range ends its walks below 2**16 even once the memo is longer.
-    search._memo_for_range(3, MEMO_FULL)
-    with pytest.raises(BudgetExhausted, match=r"\(n = 1050578, budget = 132\)"):
-        scan_paradoxes(1050578, 1050578, budget=132)
+    # A sparse search past the cap ends its walks below 2**16 even once the
+    # memo is longer: 16789897 walks 119 steps down to 2**16, 17 down to 2**20.
+    search._memo_for_range(3, MEMO_FULL, search._memo_floor(3, MEMO_FULL))
+    n = 16789897
+    assert _walk_length(n, Formalism.SHORTCUT) == 119
+    assert scan_paradoxes(n, n, budget=119) == []
+    with pytest.raises(BudgetExhausted, match=rf"\(n = {n}, budget = 118\)"):
+        scan_paradoxes(n, n, budget=118)
 
 
 def test_census_submodule_is_reachable_from_the_package():

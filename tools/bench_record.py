@@ -2,7 +2,8 @@
 """Summarise paired perfbench runs into one committed BENCH file.
 
     python3 tools/bench_record.py --parent P1.json P2.json ... \\
-        --change C1.json C2.json ... --out BENCH_07_residue_table.json
+        --change C1.json C2.json ... --out BENCH_07_residue_table.json \\
+        [--parent-commit SHA] [--change-commit SHA]
 
 Each input is a result file that `perfbench/run.py` wrote under
 `.perfbench/results/`, from runs of the parent code and of the changed code
@@ -13,7 +14,10 @@ file overwrites another).  The output is
      layers: {workload: {metric: {parent, change, delta}}}, runs}
 
 where parent and change are {median, q1, q3, n} over the runs of that side
-and delta is change median / parent median - 1.  Untraced runs (--trace 0)
+and delta is change median / parent median - 1.  A side's commit is the
+`git_commit` of its runs' metadata, or the one given with --parent-commit or
+--change-commit, for runs made from an extracted copy (`git archive`), whose
+metadata has none.  Untraced runs (--trace 0)
 give the end-to-end metrics, traced runs (--trace 1) the per-layer ones.
 
 The tool refuses its inputs (exit 2) when the files of one side disagree on
@@ -127,10 +131,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", nargs="+", type=Path, required=True, metavar="JSON")
     ap.add_argument("--parent-commit", help="commit of the parent runs, if their "
                                             "metadata has none (an extracted copy)")
+    ap.add_argument("--change-commit", help="commit of the change runs, if their "
+                                            "metadata has none (an extracted copy)")
     ap.add_argument("--out", type=Path, required=True, metavar="BENCH_NN_label.json")
     args = ap.parse_args(argv)
     try:
-        doc = record(args.parent, args.change, {"parent": args.parent_commit})
+        doc = record(args.parent, args.change,
+                     {"parent": args.parent_commit, "change": args.change_commit})
     except (RecordError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
