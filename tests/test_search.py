@@ -345,9 +345,9 @@ def _windows(lo: int, hi: int, width: int = 8):
 @given(window=st.one_of(
            _windows(3, 9229, width=64),                             # every known hit
            _windows(3, 400, width=40),                              # straddles every nmax
-           _windows(3, MEMO_FULL - 9),                              # a search of its own:
+           _windows(3, MEMO_FULL - 9),                              # sparse: 2**16 floor
            _windows(MEMO_FULL - 8, MEMO_FULL).filter(lambda w: w[1] > MEMO_FULL),
-           _windows(MEMO_FULL + 1, 1 << 40),                        # beyond its 2**16 floor
+           _windows(MEMO_FULL + 1, 1 << 40),                        # far beyond it
            _windows(1 << 64, (1 << 64) + (1 << 40))),               # beyond int64
        formalism=st.sampled_from(Formalism))
 def test_scan_matches_naive_oracle(window, formalism):
@@ -418,7 +418,7 @@ def test_the_walk_floor_depends_on_the_search_alone():
     assert floor(5000, 9999) == 10000
     assert floor(5001, 9999) == 1 << 16           # fewer starts than half the entries
     assert floor(593279152, 10**9) == 1 << 24
-    assert floor(593279153, 10**10) == 1 << 16    # no fill at all (see below)
+    assert floor(593279153, 10**10) == 1 << 16    # it builds no memo at all
 
 
 def test_memo_is_lazy_and_sized_by_the_range():
