@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--census-out", metavar="PATH", help="census table output path")
     ps.add_argument("--checkpoint", metavar="PATH")
     ps.add_argument("--max-blocks", type=int, default=None, metavar="K",
-                    help="stop after K new blocks (leaves a resumable checkpoint)")
+                    help="stop after K new blocks, resumable from --checkpoint (required)")
     ps.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp header line from output files")
     ps.add_argument("--decimals", type=parse_count, default=2)
@@ -151,6 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_search(args) -> int:
     from .census import census, render_census
+    if args.max_blocks is not None and args.checkpoint is None:
+        print("--max-blocks needs --checkpoint", file=sys.stderr)   # or its blocks are lost
+        return EXIT_USAGE
     lo, hi = args.range
     cfg = SearchConfig(lo, hi, args.formalism, args.budget, args.block_size)
     result = run_search(cfg, threads=args.threads, checkpoint=args.checkpoint,

@@ -144,7 +144,7 @@ def _excursion_records(n_hi: int) -> list[RecordEntry]:
         hi = min(n_hi + 1, 2 * lo)
         limit = ((best + 1) << JUMP_K) - 1
         found = []
-        for r, (a, c, _, _, gmax, hmax, _, _, tau, _) in enumerate(rows):
+        for r, (a, c, _, _, gmax, hmax, tau, _) in enumerate(rows):
             cheap = min(best, (limit - hmax) // gmax)
             first = lo + (r - lo) % period
             above = max(first, cheap + 1 + (r - cheap - 1) % period)

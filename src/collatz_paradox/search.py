@@ -29,10 +29,10 @@ see scan_paradoxes.
 The same rows carry per-residue thresholds (R. Terras, "A stopping time
 problem on the positive integers", 1976): the first K steps of x = r mod 2**K
 are y_i = (3**q_i * x + c_i) / 2**i, so whether step i is a hit or the first
-descent is a linear test in x.  Starts inside the memo above their row's
-no-hit threshold jump their first K steps at once, and verify_cst walks only
-the starts whose stopping time the table does not already give (a sieve),
-each from y_K.
+descent is a linear test in x.  So no start above one constant per map has a
+hit in its first K steps, which scan_paradoxes may then jump, and verify_cst
+walks only the starts whose stopping time the table does not already give (a
+sieve), each from y_K.
 
 K = 12.  The table is built as a prefix tree over the residues, one step per
 level (see _build_jump_rows), in about 10 ms; a process builds it on first
@@ -203,8 +203,9 @@ def _memo_for_range(n_lo: int, n_hi: int, floor: int) -> tuple[memoryview, int]:
     many entries are at most twice its starts.  Building an entry takes
     0.4-0.6 us, and a start near 10**7 takes about 1.5 us inside the memo
     against 5.4 us down to 2**16, so the build pays from about one start per
-    six entries.  Past 2**24 the starts walk down to 2**24: 4.3 against
-    6.0 us a start at 10**8, 6.8 against 8.1 at 10**9.  Any other search
+    six entries.  Past 2**24 the starts walk down to 2**24, most of them
+    after a start jump: 2.7-2.9 us a start at 10**8 and 3.3-3.4 at 10**9
+    (shortcut), against 3.8-6.3 us down to 2**16.  Any other search
     gets 2**16 entries: its walks must fall that far before the exit can
     fire, but a short run far out (one CLI process per window) would
     otherwise pay a build of millions of entries for a few thousand starts.
@@ -279,9 +280,14 @@ JUMP_K = 12                      # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
 
 
-# A row is (a, c, dq, gmin, gmax, hmax, nmax_shortcut, nmax_classic, tau,
-# tau_thr); see _build_jump_rows.  The columns read by name:
-_NMAX_SHORTCUT, _NMAX_CLASSIC, _TAU, _TAU_THR = 6, 7, 8, 9
+# A row is (a, c, dq, gmin, gmax, hmax, tau, tau_thr); see _build_jump_rows.
+_TAU, _TAU_THR = 6, 7   # the columns read by name
+# No start above these has a hit in its first K steps; see _build_jump_rows.
+_NO_HIT_SHORTCUT, _NO_HIT_CLASSIC = (
+    max(((3**q - 2**q) << (i - q)) // ((1 << (i - c)) - 3**q)
+        for i in range(1, JUMP_K + 1) for q in range(i) for c in cs
+        if 3**q < 1 << (i - c))
+    for cs in ((0,), (0, 1)))
 _jump_table: list[tuple] = []   # built on first use, or before a pool forks
 
 
@@ -305,17 +311,20 @@ def _build_jump_rows() -> list[tuple]:
     with g_i = 3**q_i * 2**(K-i) and h_i = c_i * 2**(K-i) >= 0; the row keeps
     their least and greatest g and the greatest h.
 
-    The other four columns are thresholds in x (R. Terras, "A stopping time
-    problem on the positive integers", 1976).  With D = 2**i - 3**q_i > 0,
-    y_i >= x iff x <= c_i // D, so step i is a paradox hit iff x <= c_i // D.
-    nmax_shortcut is the greatest such bound over i <= K (0 if no D > 0):
-    x > nmax_shortcut has no hit in its first K steps.  nmax_classic also
-    takes the classic iterate 3*y_{i-1} + 1 = 2*y_i of each odd step, with
-    coefficient 3**q_i / 2**(i-1): a hit iff x <= c_i // (2**(i-1) - 3**q_i).
-    tau is the first i <= K with 3**q_i < 2**i: every earlier y_i exceeds x,
-    and y_tau < x iff x > tau_thr = c_tau // (2**tau - 3**q_tau), so above
-    tau_thr both stopping times of x equal tau.  Rows with no such i have
-    tau = 0 and tau_thr = INFINITE.
+    The last two columns are thresholds in x (Terras, 1976).  With
+    D = 2**i - 3**q_i > 0, y_i >= x iff x <= c_i // D.  tau is the first
+    i <= K with D > 0: every earlier y_i exceeds x, and above
+    tau_thr = c_tau // D both stopping times of x equal tau.  Rows with no
+    such i have tau = 0 and tau_thr = INFINITE.
+
+    So step i is a paradox hit iff x <= c_i // D, and the classic iterate
+    3*y_{i-1} + 1 = 2*y_i of an odd step is one iff
+    x <= c_i // (2**(i-1) - 3**q_i).  The remainder c_i / 2**i is at most
+    (3**q - 2**q) / 2**q (the paper's extremal remainder), so no start above
+    (3**q - 2**q) * 2**(i-q) // (2**(i-c) - 3**q), the greatest over i <= K
+    and 3**q < 2**(i-c), has a hit in its first K steps; c = 0 on the
+    shortcut map and c in (0, 1) on the classic one.  At K = 12 these bounds
+    are 129 and 259, at (i, q) = (8, 5) and (9, 5): the rows' greatest.
 
     The build is a prefix tree.  The parity of y_{i-1}, so step i, depends on
     x mod 2**i only (y_{i-1} * 2**(i-1) = 3**q * x + c), so level i holds one
@@ -326,24 +335,19 @@ def _build_jump_rows() -> list[tuple]:
     """
     k = JUMP_K
     pow3 = [3**q for q in range(k + 1)]
-    # (q, c, gmin, gmax, hmax, nmax_shortcut, nmax_classic, tau, tau_thr)
-    level = [(0, 0, INFINITE, 0, 0, 0, 0, 0, INFINITE)]
+    # (q, c, gmin, gmax, hmax, tau, tau_thr)
+    level = [(0, 0, INFINITE, 0, 0, 0, INFINITE)]
     for i in range(1, k + 1):
         half = 1 << (i - 1)
         shift = k - i
         g = [p << shift for p in pow3]
-        d = [(1 << i) - p for p in pow3]       # the D of a shortcut hit at step i
-        d_classic = [half - p for p in pow3]   # and of the classic 3x + 1 before it
+        d = [(1 << i) - p for p in pow3]       # the D of step i
         nodes = []
         for r in range(1 << i):
-            q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr = level[r & (half - 1)]
+            q, c, gmin, gmax, hmax, tau, tau_thr = level[r & (half - 1)]
             if (pow3[q] * r + c) >> (i - 1) & 1:
                 q += 1
                 c = 3 * c + half
-                if d_classic[q] > 0:
-                    v = c // d_classic[q]
-                    if v > nmax_c:
-                        nmax_c = v
             # plain comparisons: twice as fast as min() and max() here
             if g[q] < gmin:
                 gmin = g[q]
@@ -351,18 +355,12 @@ def _build_jump_rows() -> list[tuple]:
                 gmax = g[q]
             if c << shift > hmax:
                 hmax = c << shift
-            if d[q] > 0:
-                v = c // d[q]
-                if v > nmax_s:
-                    nmax_s = v
-                if v > nmax_c:
-                    nmax_c = v
-                if not tau:
-                    tau, tau_thr = i, v
-            nodes.append((q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr))
+            if not tau and d[q] > 0:
+                tau, tau_thr = i, c // d[q]
+            nodes.append((q, c, gmin, gmax, hmax, tau, tau_thr))
         level = nodes
-    return [(pow3[q], c, q, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr)
-            for q, c, gmin, gmax, hmax, nmax_s, nmax_c, tau, tau_thr in level]
+    return [(pow3[q], c, q, gmin, gmax, hmax, tau, tau_thr)
+            for q, c, gmin, gmax, hmax, tau, tau_thr in level]
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +437,20 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     iterate is no hit, nor is its 3x + 1, and it cannot end the walk, so the
     jump is exact.
 
-    A start n inside the memo with n > nmax (the row's no-hit threshold for
-    this map, see _build_jump_rows) and a budget >= 2K (24 at K = 12) jumps
-    its first K steps straight to y_K, with q = dq and e = K: none of those
-    steps is a hit.  It ends there if y_K < n and memo[y_K] < thr, and
-    otherwise walks on from y_K.  Skipping an exit inside the jump is exact:
-    if a halving onto y_i < n (i < K) had memo[y_i] < thr, then
-    y_K <= memo[y_i] < thr <= n and memo[y_K] <= memo[y_i], so the walk ends
-    at y_K.  Conversely, if the walk
-    ends at y_K, it had a valid exit at its last halving i <= K, since the
-    odd steps after it rise to y_K (memo[y_i] = memo[y_K]).  So the walk
-    either ended within 2K <= budget steps on both paths, or reaches y_K in
-    the same state and goes on as before, and BudgetExhausted fires at the
-    same starts.  Starts beyond the memo keep the step-by-step start.
+    One start rule: at a budget >= 2K (24 at K = 12), a start n above its
+    map's no-hit bound (see _build_jump_rows) jumps its first K steps to y_K,
+    with q = dq and e = K, if n < floor or its row has gmin*n >= floor << K.
+    None of those steps is a hit.  The walk ends at y_K if y_K < lim and
+    memo[y_K] < thr, and otherwise walks on from there.  Inside the memo
+    (lim = n) a skipped exit is exact: if a halving onto y_i < n (i < K) had
+    memo[y_i] < thr, then y_K <= memo[y_i] < thr <= n and
+    memo[y_K] <= memo[y_i], so the walk ends at y_K; conversely, a walk that
+    ends at y_K had a valid exit at its last halving i <= K, since the odd
+    steps after it rise to y_K.  Either exit lies within 2K steps, so at a
+    budget >= 2K neither path raises; below it no start jumps, as an exit at
+    y_K checks no budget and would hide a step-by-step exit past it.  Past
+    the memo (lim = floor) the guard, the mid-walk jumps' own, keeps every
+    iterate inside the jump at or above the floor, so it skips no exit.
 
     The budget caps the steps one walk may take before its exit; a start that
     needs more raises BudgetExhausted.  The check runs at the exit and at
@@ -467,31 +466,28 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
     memo, size = _memo_for_range(n_lo, n_hi, _memo_floor(*(search_range or (n_lo, n_hi))))
-    jump_hi = size if n_lo < size and budget >= 2 * JUMP_K else 0   # start jumps below
-    rows = _jump_rows() if n_hi >= size or jump_hi else None
+    rows = _jump_rows()
     out: list[tuple[int, int]] = []
     append = out.append
     classic = formalism is Formalism.CLASSIC
     half = 1 if classic else 0      # thr = (n + half) >> half
-    nmax = _NMAX_CLASSIC if classic else _NMAX_SHORTCUT   # this map's no-hit column
+    jump_lo = n_hi + 1   # the least start that jumps its first K steps
+    if budget >= 2 * JUMP_K:
+        jump_lo = (_NO_HIT_CLASSIC if classic else _NO_HIT_SHORTCUT) + 1
+    size_k = size << JUMP_K
     for n in range(n_lo, n_hi + 1):
         thr = (n + half) >> half
-        if n < jump_hi:
-            lim = n
-            row = rows[n & _JUMP_MASK]
-            if n > row[nmax]:
-                cur = (row[0] * n + row[1]) >> JUMP_K
-                if cur < n and memo[cur] < thr:
+        lim = n if n < size else size
+        cur = n
+        q = e = 0
+        if n >= jump_lo:
+            a, c, dq, gmin, _, _, _, _ = rows[n & _JUMP_MASK]
+            if n < size or gmin * n >= size_k:
+                cur = (a * n + c) >> JUMP_K
+                if cur < lim and memo[cur] < thr:
                     continue
-                q = row[2]
+                q = dq
                 e = JUMP_K
-            else:
-                cur = n
-                q = e = 0
-        else:
-            lim = n if n < size else size
-            cur = n
-            q = e = 0
         while True:
             if cur & 1:
                 cur = (3 * cur + 1) >> 1
@@ -518,7 +514,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                 lim_k = lim << JUMP_K
                 thr_k = thr << JUMP_K
                 while True:
-                    a, c, dq, gmin, gmax, hmax, _, _, _, _ = rows[cur & _JUMP_MASK]
+                    a, c, dq, gmin, gmax, hmax, _, _ = rows[cur & _JUMP_MASK]
                     if gmin * cur < lim_k or gmax * cur + hmax >= thr_k:
                         break
                     cur = (a * cur + c) >> JUMP_K

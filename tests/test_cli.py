@@ -295,6 +295,17 @@ def test_records_refuses_refs_for_a_kind_without_a_table(monkeypatch, tmp_path, 
     assert "delay-t has no reference table for --refs" in capsys.readouterr().err
 
 
+def test_search_refuses_max_blocks_without_a_checkpoint(monkeypatch, capsys):
+    # it ran K blocks, then threw them away with exit 10
+    import collatz_paradox.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "run_search", lambda *args, **kw: calls.append(args))
+    rc = main(["search", "--range", "3..10^6", "--max-blocks", "2"])
+    assert rc == EXIT_USAGE and calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and err == "--max-blocks needs --checkpoint\n"
+
+
 def test_records_command_scans_once(monkeypatch, capsys):
     calls = []
     real = records.compute_records

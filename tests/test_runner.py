@@ -462,12 +462,16 @@ _FEW_BLOCKS_OF_MANY = """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_max_blocks_bounds_the_blocks_made(threads):
+def test_max_blocks_bounds_the_blocks_made(threads, tmp_path):
     # 10^12 blocks: listing them all would outgrow a 1 GiB address space
     # long before the timeout, so only the blocks taken may be made.
+    ck = tmp_path / "ck.txt"
     out = _python(_FEW_BLOCKS_OF_MANY, "search", "--range", "3..10^15",
-                  "--block-size", "1000", "--max-blocks", "2", "--threads", threads)
-    assert out == "incomplete: 2/1000000000000 blocks done\n10\n"
+                  "--block-size", "1000", "--max-blocks", "2", "--threads", threads,
+                  "--checkpoint", str(ck))
+    assert out == f"incomplete: 2/1000000000000 blocks done (checkpoint: {ck})\n10\n"
+    assert sorted(line for line in ck.read_text().splitlines()
+                  if line.startswith("done=")) == ["done=0,170", "done=1,132"]
 
 
 def _python(code: str, *args: str) -> str:

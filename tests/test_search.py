@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import collatz_paradox
 from collatz_paradox import search
+from collatz_paradox.bounds import remainder_bounds
 from collatz_paradox.census import _decimal, _passes_through
 from collatz_paradox.dynamics import BudgetExhausted, Formalism, step, trajectory
 from collatz_paradox.runner import SearchConfig, run_search
@@ -473,9 +475,11 @@ def _compressed_steps(x: int, k: int) -> tuple[list[int], int]:
     return ys, q
 
 
-def _jump_rows_by_walks(k: int) -> list[tuple]:
+def _jump_rows_by_walks(k: int) -> tuple[list[tuple], list[tuple[int, int]]]:
     # The table as it was first built: every row by its own K-step walk of r.
-    rows = []
+    # Also each row's no-hit thresholds on either map: x = r mod 2**K has a
+    # hit in its first K steps iff x is at or below its map's threshold.
+    rows, thresholds = [], []
     for r in range(1 << k):
         y, q, c = r, 0, 0
         gs, hs = [], []
@@ -496,17 +500,30 @@ def _jump_rows_by_walks(k: int) -> list[tuple]:
                 nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
                 if not tau:
                     tau, tau_thr = i, c // ((1 << i) - 3**q)
-        rows.append((3**q, c, q, min(gs), max(gs), max(hs),
-                     nmax_s, max(nmax_s, nmax_c), tau, tau_thr))
-    return rows
+        rows.append((3**q, c, q, min(gs), max(gs), max(hs), tau, tau_thr))
+        thresholds.append((nmax_s, max(nmax_s, nmax_c)))
+    return rows, thresholds
 
 
 def test_prefix_tree_build_equals_one_walk_per_row():
-    assert search._jump_rows() == _jump_rows_by_walks(search.JUMP_K)
+    assert search._jump_rows() == _jump_rows_by_walks(search.JUMP_K)[0]
     for k in (1, 2, 3, 8):   # the tree at other depths
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "JUMP_K", k)
-            assert search._build_jump_rows() == _jump_rows_by_walks(k), k
+            assert search._build_jump_rows() == _jump_rows_by_walks(k)[0], k
+
+
+def test_no_hit_bounds_are_the_closed_form_and_the_greatest_row_thresholds():
+    # x <= E * 2**i / (2**(i-c) - 3**q) for a hit at step i after q odd steps
+    # (c = 1: the classic 3x + 1 before it), E at most the extremal remainder
+    k = search.JUMP_K
+    closed = [max(math.floor(remainder_bounds(i, q).upper * 2**i / (2**(i - c) - 3**q))
+                  for i in range(1, k + 1) for q in range(i + 1) for c in cs
+                  if 3**q < 2**(i - c))
+              for cs in ((0,), (0, 1))]
+    thresholds = _jump_rows_by_walks(k)[1]
+    greatest = [max(t[m] for t in thresholds) for m in (0, 1)]
+    assert [search._NO_HIT_SHORTCUT, search._NO_HIT_CLASSIC] == closed == greatest == [129, 259]
 
 
 def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
@@ -541,12 +558,18 @@ def _first_k_steps(x: int, k: int) -> tuple[list[bool], list[bool], int | None]:
 
 def test_jump_row_thresholds_match_brute_force():
     k = search.JUMP_K
+    thresholds = _jump_rows_by_walks(k)[1]
+    with_hits = ([], [])
     for r, row in enumerate(search._jump_rows()):
-        nmax_s, nmax_c, tau, tau_thr = row[6:]
+        tau, tau_thr = row[search._TAU], row[search._TAU_THR]
+        nmax_s, nmax_c = thresholds[r]
         for x in range(r or 1 << k, (3 << k) + 1, 1 << k):   # every x = r in 1..3 * 2**K
             hit_s, hit_c, tau_x = _first_k_steps(x, k)
             assert (x <= nmax_s) == any(hit_s), (r, x)
             assert (x <= nmax_c) == any(hit_c), (r, x)
+            for found, hit in zip(with_hits, (hit_s, hit_c)):
+                if any(hit):
+                    found.append(x)
             assert tau == (tau_x or 0)
             if not tau:
                 assert tau_thr == INFINITE
@@ -554,14 +577,19 @@ def test_jump_row_thresholds_match_brute_force():
                 assert stopping_time(x) == coeff_stopping_time(x) == tau, (r, x)
             else:
                 assert trajectory(x, tau).last() >= x, (r, x)
+    # no start above its map's bound has a hit in its first K steps
+    assert max(with_hits[0]) == 25 <= search._NO_HIT_SHORTCUT
+    assert max(with_hits[1]) == 51 <= search._NO_HIT_CLASSIC
 
 
 def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
     # One step at a time on the given map, with no jumps: the hits, and the
-    # step count at the exit (the first halving onto cur < n whose
-    # compressed-map excursion is below n, 2 * it on the classic map).
+    # step count at the exit (the first halving onto cur below both n and the
+    # memo's end whose compressed-map excursion is below n, 2 * it on the
+    # classic map).
     shortcut = formalism is Formalism.SHORTCUT
     factor = 1 if shortcut else 2
+    lim = min(n, len(memo))
     hits = []
     cur, q, e, j = n, 0, 0, 0
     while True:
@@ -573,10 +601,31 @@ def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
         else:
             cur >>= 1
             e += 1
-            if cur < n and factor * memo[cur] < n:
+            if cur < lim and factor * memo[cur] < n:
                 return hits, j
         if cur >= n and 3**q < 2**e:
             hits.append((n, j))
+
+
+def _assert_budget_parity(lo: int, hi: int, formalism: Formalism, memo: array) -> None:
+    # At budgets 1..60, the scan of lo..hi and of each window of 8 starts in
+    # it (so that the first start over the budget is not always the same one)
+    # raises at the first start whose plain walk is longer than the budget,
+    # or gives the plain walks' pairs.
+    walks = {n: _plain_walk(n, formalism, memo) for n in range(lo, hi + 1)}
+    windows = [(lo, hi)] + [(w, min(w + 7, hi)) for w in range(lo, hi + 1, 8)]
+    for w_lo, w_hi in windows:
+        for budget in range(1, 61):
+            over = [n for n in range(w_lo, w_hi + 1) if walks[n][1] > budget]
+            if over:
+                want = BudgetExhausted(over[0], budget,
+                                       what="walk did not end within the step budget")
+                with pytest.raises(BudgetExhausted) as got:
+                    scan_paradoxes(w_lo, w_hi, formalism, budget)
+                assert str(got.value) == str(want)
+            else:
+                assert scan_paradoxes(w_lo, w_hi, formalism, budget) == [
+                    pair for n in range(w_lo, w_hi + 1) for pair in walks[n][0]]
 
 
 @pytest.mark.parametrize("formalism", list(Formalism))
@@ -584,18 +633,7 @@ def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
 def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
     memo = array("q", bytes(8)) * (hi + 1)
     fill_excursion_memo(memo, 0, hi + 1)
-    walks = [_plain_walk(n, formalism, memo) for n in range(lo, hi + 1)]
-    for budget in range(1, 61):
-        over = [n for n, (_, length) in zip(range(lo, hi + 1), walks) if length > budget]
-        if over:
-            want = BudgetExhausted(over[0], budget,
-                                   what="walk did not end within the step budget")
-            with pytest.raises(BudgetExhausted) as got:
-                scan_paradoxes(lo, hi, formalism, budget)
-            assert str(got.value) == str(want)
-        else:
-            assert scan_paradoxes(lo, hi, formalism, budget) == [
-                pair for hits, _ in walks for pair in hits]
+    _assert_budget_parity(lo, hi, formalism, memo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -603,6 +641,17 @@ def _fresh_memo(size: int):
     memo = array("q", bytes(8)) * size
     fill_excursion_memo(memo, 0, size)
     return lambda *block: (memo, size)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("lo, hi", [(130, 1540), (5240, 5360)])
+def test_budget_parity_with_a_plain_walk_past_a_small_memo(lo, hi, formalism):
+    # Past a 64-entry memo a start jumps its first K steps only where every
+    # iterate inside the jump stays at or above the floor: a jump that skipped
+    # an exit would end the walk later, with the same pairs but another length.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo_for_range", _fresh_memo(64))
+        _assert_budget_parity(lo, hi, formalism, _fresh_memo(64)(0, 0)[0])
 
 
 @settings(max_examples=60, deadline=None)
