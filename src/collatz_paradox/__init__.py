@@ -17,32 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # dynamics, poset
-    "BudgetExhausted", "Formalism", "Trajectory", "step", "trajectory",
-    "HasseDiagram", "all_vectors", "covers", "hasse", "check_remainder_monotonicity",
-    # bounds
-    "EnRatioBounds", "RemainderBounds", "coefficient_ceiling_q", "en_ratio_bounds",
-    "floor_log_ratio", "harmonic_cap_holds", "harmonic_mean_odd_terms",
-    "mean_remainders", "remainder_bounds", "small_j_classification", "smallest_harmonic_cap_j",
-    # numtheory, precision
-    "ApproxPair", "Convergent", "DivergenceWitness", "approx_pairs", "convergents",
-    "divergent_to_paradox", "heuristic_j_cap", "pair_in_s", "partial_quotients",
-    "ratio_below_log2_log3", "rhin_gap_ok",
-    "Undecided",
-    # search, census
-    "CstReport", "INFINITE", "ParadoxHit", "coeff_stopping_time", "delay",
-    "max_excursion", "naive_paradoxes", "scan_paradoxes", "stopping_time",
-    "verify_cst",
-    "CensusRow", "CensusSummary", "render_census",
-    # records, runner
-    "BoundChainReport", "IngestError", "RecordEntry", "RecordKind", "RecordTable",
-    "compute_records", "ingest_reference_records", "reference_path",
-    "theorem5_bound_chain",
-    "SearchConfig", "SearchResult", "hits_csv_text", "run_search",
-]
-
-# The module of each name in __all__.
+# The exported names, by module.
 _EXPORTS = {
     "dynamics": "BudgetExhausted Formalism Trajectory step trajectory",
     "poset": "HasseDiagram all_vectors covers hasse check_remainder_monotonicity",
@@ -61,6 +36,7 @@ _EXPORTS = {
                "theorem5_bound_chain",
     "runner": "SearchConfig SearchResult hits_csv_text run_search",
 }
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 

@@ -21,8 +21,8 @@ from operator import add
 from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
-from .dynamics import Formalism, trajectory
-from .search import _TAU, _TAU_THR, JUMP_K, _jump_rows, delay, max_excursion
+from .dynamics import Formalism
+from .search import JUMP_K, _jump_tables, delay, max_excursion
 
 
 class RecordKind(enum.Enum):
@@ -60,14 +60,14 @@ RECORDS_N_MAX = 10**8
 def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     """Scan 1..n_hi and return every n whose statistic beats all smaller n.
 
-    Most starts are settled by the K-step rows of search._jump_rows (K = 12)
-    without a walk: a start n of a row with a stopping time tau, above the
-    row's tau_thr, first falls below itself at step tau, to
-    y_tau = (3**q * n + c) >> tau (R. Terras, 1976).  The max-excursion scan
-    keeps no memo (see _excursion_records); the delay scans fill a 4-byte
-    memo one stopping-time class at a time (see _delay_memo).  Only the
-    starts of the rows without tau, and those the rows cannot settle, are
-    walked, each to its first iterate below the start.  n_hi is capped at
+    Most starts are settled without a walk by the stopping-time decomposition
+    that search._build_jump_rows builds with its K-step table (K = 12): a
+    start n of a class (tau, r) above the class's tau_thr first falls below
+    itself at step tau, to y_tau = (3**q * n + c) >> tau (R. Terras, 1976).
+    The max-excursion scan keeps no memo (see _excursion_records); the delay
+    scans fill a 4-byte memo one class at a time (see _delay_memo).  Only the
+    starts of the 226 rows without tau, and those the classes cannot settle,
+    are walked, each to its first iterate below the start.  n_hi is capped at
     RECORDS_N_MAX.
     """
     if n_hi < 1:
@@ -92,10 +92,10 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     raise ValueError(f"unsupported record kind {kind}")
 
 
-def _plain_end(rows: list[tuple]) -> int:
+def _plain_end(classes: list[tuple]) -> int:
     """The starts below this are walked plainly: 2**(K+1), or past the
     largest tau_thr if that were higher (it is 24 at K = 12)."""
-    return max(2 << JUMP_K, 1 + max(row[_TAU_THR] for row in rows if row[_TAU]))
+    return max(2 << JUMP_K, 1 + max(tau_thr for _, _, _, _, _, tau_thr, _, _ in classes))
 
 
 def _peak_before_descent(n: int, cur: int, peak: int) -> int:
@@ -120,20 +120,22 @@ def _excursion_records(n_hi: int) -> list[RecordEntry]:
     and then M(n) = P(n).
 
     Past the plain walks, the scan goes in segments [lo, 2*lo), each against
-    best as it stood at lo.  Each of n's first K iterates satisfies
-    y_i * 2**K <= gmax*n + hmax (its row's columns), so they are all <= best
-    for n <= cheap, a threshold per row.  A start of a row with tau, at most
-    cheap, descends at step tau with P(n) <= best (it is above tau_thr, as
-    every start past _plain_end is): it is no record and is not walked.  A
-    start of a row without tau does not descend within K steps, so at most
-    cheap it walks on from y_K with the peak at best.  Every other start
-    walks from n.  The (n, P(n)) with P(n) > best are sorted, and their
-    running maximum gives the records.
+    best as it stood at lo, over the classes and the rows without tau of
+    search._build_jump_rows.  A start n of a class (every start past
+    _plain_end is above its class's tau_thr) descends at step tau, so P(n) is
+    the greatest of n, y_1, ..., y_tau, and each y_i satisfies
+    y_i * 2**K <= gmax*n + hmax with the class's own columns.  So they are
+    all <= best for n <= cheap, a threshold per class: such a start is no
+    record and is not walked.  A start of a row without tau does not descend
+    within K steps, and its row's columns bound its first K iterates the same
+    way, so at most cheap it walks on from y_K with the peak at best.  Every
+    other start walks from n.  The (n, P(n)) with P(n) > best are sorted, and
+    their running maximum gives the records.
     """
     out = [RecordEntry(n, n) for n in (1, 2) if n <= n_hi]
     best = 2
-    rows = _jump_rows()
-    lo = min(n_hi + 1, _plain_end(rows))
+    _, classes, walked = _jump_tables()
+    lo = min(n_hi + 1, _plain_end(classes))
     for n in range(3, lo):
         peak = _peak_before_descent(n, n, n)
         if peak > best:
@@ -144,15 +146,22 @@ def _excursion_records(n_hi: int) -> list[RecordEntry]:
         hi = min(n_hi + 1, 2 * lo)
         limit = ((best + 1) << JUMP_K) - 1
         found = []
-        for r, (a, c, _, _, gmax, hmax, tau, _) in enumerate(rows):
+        for tau, r, _, _, _, _, gmax, hmax in classes:
+            step = 1 << tau
+            cheap = min(best, (limit - hmax) // gmax)
+            above = max(lo + (r - lo) % step, cheap + 1 + (r - cheap - 1) % step)
+            for n in range(above, hi, step):
+                peak = _peak_before_descent(n, n, n)
+                if peak > best:
+                    found.append((n, peak))
+        for r, a, c, _, gmax, hmax in walked:
             cheap = min(best, (limit - hmax) // gmax)
             first = lo + (r - lo) % period
             above = max(first, cheap + 1 + (r - cheap - 1) % period)
-            if not tau:
-                for n in range(first, min(above, hi), period):
-                    peak = _peak_before_descent(n, (a * n + c) >> JUMP_K, best)
-                    if peak > best:
-                        found.append((n, peak))
+            for n in range(first, min(above, hi), period):
+                peak = _peak_before_descent(n, (a * n + c) >> JUMP_K, best)
+                if peak > best:
+                    found.append((n, peak))
             for n in range(above, hi, period):
                 peak = _peak_before_descent(n, n, n)
                 if peak > best:
@@ -164,23 +173,6 @@ def _excursion_records(n_hi: int) -> list[RecordEntry]:
                 out.append(RecordEntry(n, peak))
         lo = hi
     return out
-
-
-def _stopping_classes(rows: list[tuple]) -> tuple[list[tuple], list[int]]:
-    """The residue classes that fix the stopping time, and the rows without.
-
-    A row r with tau lies in the class r mod 2**tau: every x in that class
-    above its tau_thr has y_tau = (a*x + c) >> tau < x, with a = 3**q, and
-    every iterate before above x.  Returns the classes as (tau, r, a, c, q),
-    with (a, c, q) from trajectory(r or 2**tau, tau), and the rows without tau.
-    """
-    keys = sorted({(row[_TAU], r & ((1 << row[_TAU]) - 1))
-                   for r, row in enumerate(rows) if row[_TAU]})
-    classes = []
-    for tau, r in keys:
-        t = trajectory(r or 1 << tau, tau)
-        classes.append((tau, r, 3**t.q, t.e_num, t.q))
-    return classes, [r for r, row in enumerate(rows) if not row[_TAU]]
 
 
 def _delay_below(n: int, cur: int, d: int, odd_cost: int, memo) -> int:
@@ -202,29 +194,29 @@ def _delay_memo(n_hi: int, odd_cost: int) -> array:
     compressed one).
 
     Below _plain_end each start walks to its first iterate below it and adds
-    that iterate's delay.  Above, the memo fills in chunks [lo, hi).  A
-    stopping-time class (tau, r, a, c, q) maps its starts n = n0, n0 + 2**tau,
-    ... to y_tau = (a*n + c) >> tau, an arithmetic progression with step a,
-    so its part of the chunk is one strided slice:
+    that iterate's delay.  Above, the memo fills in chunks [lo, hi), from the
+    classes and the rows without tau of search._build_jump_rows.  A class
+    (tau, r, a, c, q, ...) maps its starts n = n0, n0 + 2**tau, ... to
+    y_tau = (a*n + c) >> tau, an arithmetic progression with step a, so its
+    part of the chunk is one strided slice:
     memo[n] = tau + q*(odd_cost - 1) + memo[y_tau].  hi is the least n at
     which some class's y_tau reaches lo, so every entry read is already
-    final.  The starts of the rows without tau then walk in ascending order
-    from y_K, with the cost of their first K steps.
+    final.  The starts of the rows (r, a, c, dq, ...) without tau then walk
+    in ascending order from y_K, with the cost of their first K steps.
     """
-    rows = _jump_rows()
+    _, classes, walked = _jump_tables()
     memo = array("i", bytes(4)) * (n_hi + 1)
-    lo = min(n_hi + 1, _plain_end(rows))
+    lo = min(n_hi + 1, _plain_end(classes))
     for n in range(2, lo):
         memo[n] = _delay_below(n, n, 0, odd_cost, memo)
-    classes, walked = _stopping_classes(rows)
     extra = odd_cost - 1
     period = 1 << JUMP_K
     while lo <= n_hi:
         hi = n_hi + 1
-        for tau, r, a, c, _ in classes:
+        for tau, r, a, c, _, _, _, _ in classes:
             n = -(-((lo << tau) - c) // a)     # least n with a*n + c >= lo << tau
             hi = min(hi, n + (r - n) % (1 << tau))
-        for tau, r, a, c, q in classes:
+        for tau, r, a, c, q, _, _, _ in classes:
             step = 1 << tau
             n0 = lo + (r - lo) % step
             if n0 < hi:
@@ -233,10 +225,9 @@ def _delay_memo(n_hi: int, odd_cost: int) -> array:
                 memo[n0:hi:step] = array("i", map(add, memo[y0:y0 + count * a:a],
                                                   repeat(tau + extra * q)))
         for base in range(lo - lo % period, hi, period):
-            for r in walked:
+            for r, a, c, dq, _, _ in walked:
                 n = base + r
                 if lo <= n < hi:
-                    a, c, dq = rows[r][:3]
                     memo[n] = _delay_below(n, (a * n + c) >> JUMP_K,
                                            JUMP_K + extra * dq, odd_cost, memo)
         lo = hi

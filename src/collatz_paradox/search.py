@@ -26,13 +26,15 @@ verification of the 3x+1 and related conjectures", 2010), wherever the row's
 bounds prove that no iterate inside the jump is a hit or can end the walk;
 see scan_paradoxes.
 
-The same rows carry per-residue thresholds (R. Terras, "A stopping time
-problem on the positive integers", 1976): the first K steps of x = r mod 2**K
-are y_i = (3**q_i * x + c_i) / 2**i, so whether step i is a hit or the first
-descent is a linear test in x.  So no start above one constant per map has a
-hit in its first K steps, which scan_paradoxes may then jump, and verify_cst
-walks only the starts whose stopping time the table does not already give (a
-sieve), each from y_K.
+The first K steps of x = r mod 2**K are y_i = (3**q_i * x + c_i) / 2**i, so
+whether step i is a hit or the first descent is a linear test in x
+(R. Terras, "A stopping time problem on the positive integers", 1976).  So
+no start above one constant per map has a hit in its first K steps, which
+scan_paradoxes may then jump.  The same build yields the stopping-time
+decomposition: 57 residue classes mod 2**tau (tau <= K) whose starts above a
+threshold first fall below themselves at step tau, and the 226 rows whose
+starts do not within K steps.  verify_cst and the record scans sieve by it
+and walk only the starts it does not settle.
 
 K = 12.  The table is built as a prefix tree over the residues, one step per
 level (see _build_jump_rows), in about 10 ms; a process builds it on first
@@ -268,7 +270,7 @@ def memo_shared_by_forks(lock) -> Iterator[None]:
     held lock would leave it held for good."""
     global _memo_lock
     _process_memo()
-    _jump_rows()
+    _jump_tables()
     saved, _memo_lock = _memo_lock, lock
     try:
         yield
@@ -280,42 +282,53 @@ JUMP_K = 12                      # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
 
 
-# A row is (a, c, dq, gmin, gmax, hmax, tau, tau_thr); see _build_jump_rows.
-_TAU, _TAU_THR = 6, 7   # the columns read by name
 # No start above these has a hit in its first K steps; see _build_jump_rows.
 _NO_HIT_SHORTCUT, _NO_HIT_CLASSIC = (
     max(((3**q - 2**q) << (i - q)) // ((1 << (i - c)) - 3**q)
         for i in range(1, JUMP_K + 1) for q in range(i) for c in cs
         if 3**q < 1 << (i - c))
     for cs in ((0,), (0, 1)))
-_jump_table: list[tuple] = []   # built on first use, or before a pool forks
+# (rows, classes, walked) of _build_jump_rows; built on first use, or before a pool forks
+_jump_table: tuple[list[tuple], list[tuple], list[tuple]] | None = None
 
 
-def _jump_rows() -> list[tuple]:
-    """The K-step table of _build_jump_rows, built once per process (or once
-    per run, by memo_shared_by_forks, before the pool workers fork)."""
-    if not _jump_table:
-        rows = _build_jump_rows()
+def _jump_tables() -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The K-step table and stopping-time decomposition of _build_jump_rows,
+    built once per process (or once per run, by memo_shared_by_forks, before
+    the pool workers fork)."""
+    global _jump_table
+    if _jump_table is None:
+        built = _build_jump_rows()
         with _tables_lock:
-            if not _jump_table:
-                _jump_table.extend(rows)
+            if _jump_table is None:
+                _jump_table = built
     return _jump_table
 
 
-def _build_jump_rows() -> list[tuple]:
-    """Row r < 2**K of the K-step table.  For every x = r mod 2**K,
-    T**K(x) = (a*x + c) >> K with dq odd steps, and each iterate y_i
-    (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
+def _build_jump_rows() -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The K-step table and the stopping-time decomposition, as
+    (rows, classes, walked).
+
+    Row r < 2**K of the table is (a, c, dq, gmin, gmax, hmax): for every
+    x = r mod 2**K, T**K(x) = (a*x + c) >> K with dq odd steps, and each
+    iterate y_i (i = 1..K) satisfies gmin*x <= y_i * 2**K <= gmax*x + hmax.
 
     After i steps y_i = (3**q_i * x + c_i) / 2**i, so y_i * 2**K = g_i*x + h_i
     with g_i = 3**q_i * 2**(K-i) and h_i = c_i * 2**(K-i) >= 0; the row keeps
     their least and greatest g and the greatest h.
 
-    The last two columns are thresholds in x (Terras, 1976).  With
-    D = 2**i - 3**q_i > 0, y_i >= x iff x <= c_i // D.  tau is the first
-    i <= K with D > 0: every earlier y_i exceeds x, and above
-    tau_thr = c_tau // D both stopping times of x equal tau.  Rows with no
-    such i have tau = 0 and tau_thr = INFINITE.
+    The decomposition is Terras' (1976).  With D = 2**i - 3**q_i > 0,
+    y_i >= x iff x <= c_i // D.  Let tau be the first i <= K with D > 0, which
+    depends on x mod 2**tau only.  Each such residue class is one entry of
+    classes, (tau, r, a, c, q, tau_thr, gmax, hmax), with r = x mod 2**tau,
+    a = 3**q and c = c_tau after q = q_tau odd steps, tau_thr = c // D, and
+    gmax and hmax the greatest g_i and h_i over i <= tau (scaled by 2**K, as
+    the rows' are): every y_i with i <= tau satisfies
+    y_i * 2**K <= gmax*x + hmax.  For every x of the class above tau_thr,
+    every y_i before tau exceeds x and y_tau = (a*x + c) >> tau < x, so both
+    stopping times of x equal tau.  The classes come sorted by (tau, r).  The
+    rows with no such i <= K are walked, as (r, a, c, dq, gmax, hmax) from
+    their row.  At K = 12 there are 57 classes and 226 walked rows.
 
     So step i is a paradox hit iff x <= c_i // D, and the classic iterate
     3*y_{i-1} + 1 = 2*y_i of an odd step is one iff
@@ -330,13 +343,15 @@ def _build_jump_rows() -> list[tuple]:
     x mod 2**i only (y_{i-1} * 2**(i-1) = 3**q * x + c), so level i holds one
     node per residue mod 2**i with the running columns of its first i steps,
     and extends the node of r mod 2**(i-1) by one step: 2**(K+1) node updates
-    in all, not 2**K walks of K steps.  The powers of 3 and the g_i come from
-    one list per level, so equal values in the rows are one int.
+    in all, not 2**K walks of K steps.  A node that first has D > 0 at level
+    i adds its class there.  The powers of 3 and the g_i come from one list
+    per level, so equal values in the rows are one int.
     """
     k = JUMP_K
     pow3 = [3**q for q in range(k + 1)]
-    # (q, c, gmin, gmax, hmax, tau, tau_thr)
-    level = [(0, 0, INFINITE, 0, 0, 0, INFINITE)]
+    classes = []
+    # (q, c, gmin, gmax, hmax, timed): timed once the node has its class
+    level = [(0, 0, INFINITE, 0, 0, False)]
     for i in range(1, k + 1):
         half = 1 << (i - 1)
         shift = k - i
@@ -344,7 +359,7 @@ def _build_jump_rows() -> list[tuple]:
         d = [(1 << i) - p for p in pow3]       # the D of step i
         nodes = []
         for r in range(1 << i):
-            q, c, gmin, gmax, hmax, tau, tau_thr = level[r & (half - 1)]
+            q, c, gmin, gmax, hmax, timed = level[r & (half - 1)]
             if (pow3[q] * r + c) >> (i - 1) & 1:
                 q += 1
                 c = 3 * c + half
@@ -355,12 +370,15 @@ def _build_jump_rows() -> list[tuple]:
                 gmax = g[q]
             if c << shift > hmax:
                 hmax = c << shift
-            if not tau and d[q] > 0:
-                tau, tau_thr = i, c // d[q]
-            nodes.append((q, c, gmin, gmax, hmax, tau, tau_thr))
+            if not timed and d[q] > 0:
+                timed = True
+                classes.append((i, r, pow3[q], c, q, c // d[q], gmax, hmax))
+            nodes.append((q, c, gmin, gmax, hmax, timed))
         level = nodes
-    return [(pow3[q], c, q, gmin, gmax, hmax, tau, tau_thr)
-            for q, c, gmin, gmax, hmax, tau, tau_thr in level]
+    rows = [(pow3[q], c, q, gmin, gmax, hmax) for q, c, gmin, gmax, hmax, _ in level]
+    walked = [(r, pow3[q], c, q, gmax, hmax)
+              for r, (q, c, _, gmax, hmax, timed) in enumerate(level) if not timed]
+    return rows, classes, walked
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +484,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     bl3 = _bl3_table(4000)   # grows lazily; plenty for every realistic walk
     qcap = len(bl3)
     memo, size = _memo_for_range(n_lo, n_hi, _memo_floor(*(search_range or (n_lo, n_hi))))
-    rows = _jump_rows()
+    rows = _jump_tables()[0]
     out: list[tuple[int, int]] = []
     append = out.append
     classic = formalism is Formalism.CLASSIC
@@ -481,7 +499,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
         cur = n
         q = e = 0
         if n >= jump_lo:
-            a, c, dq, gmin, _, _, _, _ = rows[n & _JUMP_MASK]
+            a, c, dq, gmin, _, _ = rows[n & _JUMP_MASK]
             if n < size or gmin * n >= size_k:
                 cur = (a * n + c) >> JUMP_K
                 if cur < lim and memo[cur] < thr:
@@ -514,7 +532,7 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
                 lim_k = lim << JUMP_K
                 thr_k = thr << JUMP_K
                 while True:
-                    a, c, dq, gmin, gmax, hmax, _, _ = rows[cur & _JUMP_MASK]
+                    a, c, dq, gmin, gmax, hmax = rows[cur & _JUMP_MASK]
                     if gmin * cur < lim_k or gmax * cur + hmax >= thr_k:
                         break
                     cur = (a * cur + c) >> JUMP_K
@@ -572,16 +590,18 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     One walk per n: it ends at the stopping time (first descent below n) and
     records on the way the first step where the coefficient drops below 1.
 
-    Most starts need no walk.  If the row of n mod 2**K (K = JUMP_K) has a
-    tau (the first i <= K with 3**q_i < 2**i) and n is above its tau_thr,
-    every y_i before tau exceeds n and y_tau < n, so both stopping times are
+    Most starts need no walk: the build's stopping-time decomposition (see
+    _build_jump_rows) sieves them.  A start n of a class with step tau (the
+    first i <= K, K = JUMP_K, with 3**q_i < 2**i) above the class's tau_thr
+    has every y_i before tau above n and y_tau < n, so both stopping times are
     tau: no counterexample and a gap of 0, and no budget error if
-    tau <= budget.  So only the starts at or below tau_thr, and every start of
-    a row without tau or with tau > budget, are walked, each residue class as
-    a range with step 2**K, merged in ascending order; the counterexamples,
-    max_gap and the first BudgetExhausted are those of walking every start.
-    checked counts every start.  At K = 12, 226 of the 4096 rows have no tau,
-    and no start >= 2 lies at or below its row's tau_thr (it would be a
+    tau <= budget.  So only the starts of each class at or below its tau_thr,
+    every start of a class with tau > budget and every start of a row without
+    tau are walked, each class or row as a range with step 2**tau or 2**K,
+    merged in ascending order; the counterexamples, max_gap and the first
+    BudgetExhausted are those of walking every start.  checked counts every
+    start.  At K = 12 there are 57 classes and 226 rows without tau, and no
+    start >= 2 lies at or below its class's tau_thr (it would be a
     counterexample), so at budgets >= 12 about 5.5% of the starts are walked.
 
     A start of a row without tau begins its walk at y_K, K steps in, with
@@ -599,24 +619,24 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     bad: list[tuple[int, int, int]] = []
     max_gap = 0
     period = 1 << JUMP_K
-    rows = _jump_rows()
-    classes = []
-    for r, row in enumerate(rows):
-        first = lo + (r - lo) % period
-        # tau_thr is INFINITE where the row has no tau
-        top = hi if row[_TAU] > budget else min(hi, row[_TAU_THR])
+    _, classes, walked = _jump_tables()
+    # (a, c, q, j) of each residue mod 2**K: its walk starts at (a*n + c) >> j
+    starts = [(1, 0, 0, 0)] * period
+    ranges = []
+    for tau, r, _, _, _, tau_thr, _, _ in classes:
+        step = 1 << tau
+        first = lo + (r - lo) % step
+        top = hi if tau > budget else min(hi, tau_thr)
         if first <= top:
-            classes.append(range(first, top + 1, period))
-    for n in heapq.merge(*classes):
-        row = rows[n & _JUMP_MASK]
-        if row[_TAU]:
-            cur = n
-            q = 0
-            j = 0
-        else:
-            cur = (row[0] * n + row[1]) >> JUMP_K
-            q = row[2]
-            j = JUMP_K
+            ranges.append(range(first, top + 1, step))
+    for r, a, c, dq, _, _ in walked:
+        starts[r] = (a, c, dq, JUMP_K)
+        first = lo + (r - lo) % period
+        if first <= hi:
+            ranges.append(range(first, hi + 1, period))
+    for n in heapq.merge(*ranges):
+        a, c, q, j = starts[n & _JUMP_MASK]
+        cur = (a * n + c) >> j
         tau = 0
         while cur >= n:
             if cur & 1:

@@ -122,50 +122,67 @@ def test_record_scans_equal_the_oracles_at_any_range_end(n_hi, kind):
     assert compute_records(n_hi, kind) == expected
 
 
-def _old_stopping_classes(rows):
-    # the classes as they were first built: a tau-step walk of each r
-    keys = sorted({(row[search._TAU], r & ((1 << row[search._TAU]) - 1))
-                   for r, row in enumerate(rows) if row[search._TAU]})
+def _old_stopping_classes(k):
+    # the classes as they were first built: each residue's tau from its own
+    # step loop, then a tau-step walk of each class r
+    keys, walked = set(), []
+    for r in range(1 << k):
+        y, q = r, 0
+        for tau in range(1, k + 1):
+            q += y & 1
+            y = (3 * y + 1) >> 1 if y & 1 else y >> 1
+            if 3**q < 1 << tau:
+                keys.add((tau, r & ((1 << tau) - 1)))
+                break
+        else:
+            walked.append(r)
     classes = []
-    for tau, r in keys:
+    for tau, r in sorted(keys):
         a, c, q = 1, 0, 0
         for i in range(tau):
             if (a * r + c) >> i & 1:
                 a, c, q = 3 * a, 3 * c + (1 << i), q + 1
         classes.append((tau, r, a, c, q))
-    return classes, [r for r, row in enumerate(rows) if not row[search._TAU]]
+    return classes, walked
+
+
+def _built_classes(built):
+    _, classes, walked = built
+    return [cls[:5] for cls in classes], [w[0] for w in walked]
 
 
 def test_stopping_classes_equal_their_old_step_loop():
-    rows = search._jump_rows()
-    assert records._stopping_classes(rows) == _old_stopping_classes(rows)
+    assert _built_classes(search._jump_tables()) == _old_stopping_classes(search.JUMP_K)
     with pytest.MonkeyPatch.context() as mp:   # the tree at other depths
         for k in (1, 3, 8):
             mp.setattr(search, "JUMP_K", k)
-            small = search._build_jump_rows()
-            assert records._stopping_classes(small) == _old_stopping_classes(small), k
+            assert _built_classes(search._build_jump_rows()) == _old_stopping_classes(k), k
 
 
 def test_residues_are_walked_rows_or_in_one_stopping_class():
-    rows = search._jump_rows()
-    classes, walked = records._stopping_classes(rows)
+    k = search.JUMP_K
+    _, classes, walked = search._jump_tables()
     assert len(classes) == 57 and len(walked) == 226
-    walked = set(walked)
-    for r in range(1 << search.JUMP_K):
+    walked = {w[0] for w in walked}
+    for r in range(1 << k):
         owners = [cls for cls in classes if r % (1 << cls[0]) == cls[1]]
         assert len(owners) == (0 if r in walked else 1), r
-    for tau, r, a, c, q in classes:
-        # every start of the class above the rows' tau_thr falls below itself
-        # first at step tau, to (a*x + c) >> tau, after q odd steps
+    for tau, r, a, c, q, tau_thr, gmax, hmax in classes:
+        # every start of the class above its tau_thr falls below itself first
+        # at step tau, to (a*x + c) >> tau, after q odd steps, and every
+        # iterate up to it lies within the class's own bound
         assert a == 3**q
         for x in range(r + (32 << tau), r + (40 << tau), 1 << tau):
+            assert x > tau_thr
             y, odd = x, 0
             for _ in range(tau - 1):
                 odd += y & 1
                 y = (3 * y + 1) >> 1 if y & 1 else y >> 1
                 assert y >= x
+                assert y << k <= gmax * x + hmax
             odd += y & 1
             y = (3 * y + 1) >> 1 if y & 1 else y >> 1
+            assert y << k <= gmax * x + hmax
             assert (y, odd) == ((a * x + c) >> tau, q) and y < x
 
 

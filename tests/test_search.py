@@ -430,16 +430,16 @@ def test_memo_is_lazy_and_sized_by_the_range():
     # the jump rows are built by the first record scan or paradox scan
     code = "\n".join([
         "from collatz_paradox import records, search",
-        "assert search._memo is None and len(search._jump_table) == 0",
+        "assert search._memo is None and search._jump_table is None",
         "records.compute_records(5000, records.RecordKind.MAX_EXCURSION_T)",
-        "assert search._memo is None and len(search._jump_table) == 1 << search.JUMP_K",
+        "assert search._memo is None and len(search._jump_table[0]) == 1 << search.JUMP_K",
         "filled = lambda: search._memo[search._MEMO_FULL]   # the filled length",
         "search.scan_paradoxes(3, 5000, search.Formalism.CLASSIC)",
         "assert filled() == 5001",
-        "assert len(search._jump_table) == 1 << search.JUMP_K",
+        "assert len(search._jump_table[0]) == 1 << search.JUMP_K",
         "search.scan_paradoxes(2**40, 2**40 + 10)",
         "assert filled() == 5001",
-        "assert len(search._jump_table) == 1 << search.JUMP_K",
+        "assert len(search._jump_table[0]) == 1 << search.JUMP_K",
         "far = 2 * search._MEMO_FAR_PEAK + 1",
         "search.scan_paradoxes(far, far + 10, search.Formalism.CLASSIC)",
         "assert filled() == 5001",
@@ -457,7 +457,7 @@ def test_memo_is_lazy_and_sized_by_the_range():
         "assert filled() == 100011",
         "search.scan_paradoxes(999000, 10**6, search_range=(3, 10**6))",
         "assert filled() == 10**6 + 1",
-        "assert len(search._jump_table) == 1 << search.JUMP_K",
+        "assert len(search._jump_table[0]) == 1 << search.JUMP_K",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(collatz_paradox.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -475,16 +475,18 @@ def _compressed_steps(x: int, k: int) -> tuple[list[int], int]:
     return ys, q
 
 
-def _jump_rows_by_walks(k: int) -> tuple[list[tuple], list[tuple[int, int]]]:
+def _jump_rows_by_walks(k: int) -> tuple[list[tuple], list[tuple[int, int]], list]:
     # The table as it was first built: every row by its own K-step walk of r.
     # Also each row's no-hit thresholds on either map: x = r mod 2**K has a
-    # hit in its first K steps iff x is at or below its map's threshold.
-    rows, thresholds = [], []
+    # hit in its first K steps iff x is at or below its map's threshold; and
+    # the stopping-time class of each row, (tau, r mod 2**tau, 3**q, c, q,
+    # tau_thr, gmax, hmax) at its first step tau with 3**q < 2**tau, or None.
+    rows, thresholds, owners = [], [], []
     for r in range(1 << k):
         y, q, c = r, 0, 0
         gs, hs = [], []
-        nmax_s = nmax_c = tau = 0
-        tau_thr = INFINITE
+        nmax_s = nmax_c = 0
+        owner = None
         for i in range(1, k + 1):
             if y & 1:
                 y = (3 * y + 1) >> 1
@@ -498,19 +500,37 @@ def _jump_rows_by_walks(k: int) -> tuple[list[tuple], list[tuple[int, int]]]:
             hs.append(c << (k - i))
             if (1 << i) > 3**q:
                 nmax_s = max(nmax_s, c // ((1 << i) - 3**q))
-                if not tau:
-                    tau, tau_thr = i, c // ((1 << i) - 3**q)
-        rows.append((3**q, c, q, min(gs), max(gs), max(hs), tau, tau_thr))
+                if owner is None:
+                    owner = (i, r % (1 << i), 3**q, c, q, c // ((1 << i) - 3**q),
+                             max(gs), max(hs))
+        rows.append((3**q, c, q, min(gs), max(gs), max(hs)))
         thresholds.append((nmax_s, max(nmax_s, nmax_c)))
-    return rows, thresholds
+        owners.append(owner)
+    return rows, thresholds, owners
+
+
+def _class_of(r: int, classes: list[tuple]) -> tuple | None:
+    """The one stopping-time class of the build that holds residue r, or None."""
+    owners = [cls for cls in classes if r % (1 << cls[0]) == cls[1]]
+    assert len(owners) <= 1, r
+    return owners[0] if owners else None
 
 
 def test_prefix_tree_build_equals_one_walk_per_row():
-    assert search._jump_rows() == _jump_rows_by_walks(search.JUMP_K)[0]
+    def check(built, k):
+        rows, classes, walked = built
+        walked_rows, _, owners = _jump_rows_by_walks(k)
+        assert rows == walked_rows, k
+        assert [_class_of(r, classes) for r in range(1 << k)] == owners, k
+        assert classes == sorted({cls for cls in owners if cls}), k
+        assert walked == [(r, a, c, dq, gmax, hmax)
+                          for r, (a, c, dq, _, gmax, hmax) in enumerate(rows)
+                          if owners[r] is None], k
+    check(search._jump_tables(), search.JUMP_K)
     for k in (1, 2, 3, 8):   # the tree at other depths
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "JUMP_K", k)
-            assert search._build_jump_rows() == _jump_rows_by_walks(k)[0], k
+            check(search._build_jump_rows(), k)
 
 
 def test_no_hit_bounds_are_the_closed_form_and_the_greatest_row_thresholds():
@@ -528,15 +548,20 @@ def test_no_hit_bounds_are_the_closed_form_and_the_greatest_row_thresholds():
 
 def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
     k = search.JUMP_K
-    rows = search._jump_rows()
+    rows, classes, _ = search._jump_tables()
     assert len(rows) == 1 << k
-    for r, (a, c, dq, gmin, gmax, hmax, *_) in enumerate(rows):
+    for r, (a, c, dq, gmin, gmax, hmax) in enumerate(rows):
+        owner = _class_of(r, classes)
         for t in (0, 1, 2, 12345, (1 << 40) + 7, (1 << 64) // (1 << k) + 3, 1 << 90):
             x = (t << k) + r
             ys, q = _compressed_steps(x, k)
             assert (a * x + c) >> k == ys[-1] and dq == q
             for y in ys:
                 assert gmin * x <= y << k <= gmax * x + hmax
+            if owner:   # the class's own bound on the steps up to its tau
+                tau, *_, cls_gmax, cls_hmax = owner
+                for y in ys[:tau]:
+                    assert y << k <= cls_gmax * x + cls_hmax
 
 
 def _first_k_steps(x: int, k: int) -> tuple[list[bool], list[bool], int | None]:
@@ -559,9 +584,12 @@ def _first_k_steps(x: int, k: int) -> tuple[list[bool], list[bool], int | None]:
 def test_jump_row_thresholds_match_brute_force():
     k = search.JUMP_K
     thresholds = _jump_rows_by_walks(k)[1]
+    classes = search._jump_tables()[1]
     with_hits = ([], [])
-    for r, row in enumerate(search._jump_rows()):
-        tau, tau_thr = row[search._TAU], row[search._TAU_THR]
+    for r in range(1 << k):
+        # each row's tau and tau_thr are those of the class that holds it
+        owner = _class_of(r, classes)
+        tau, tau_thr = (owner[0], owner[5]) if owner else (0, INFINITE)
         nmax_s, nmax_c = thresholds[r]
         for x in range(r or 1 << k, (3 << k) + 1, 1 << k):   # every x = r in 1..3 * 2**K
             hit_s, hit_c, tau_x = _first_k_steps(x, k)
@@ -750,7 +778,7 @@ def test_census_submodule_is_reachable_from_the_package():
     assert summary.distinct_starts == 5
 
 
-def test_package_exports_are_a_literal_list_of_names():
+def test_package_exports_are_one_list_of_names():
     exported = collatz_paradox.__all__
     assert len(exported) == len(set(exported)) == 59
     for name in exported:   # each name loads its module on first use
