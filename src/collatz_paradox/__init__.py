@@ -23,9 +23,8 @@ _EXPORTS = {
     "poset": "HasseDiagram all_vectors covers hasse check_remainder_monotonicity",
     "bounds": "EnRatioBounds RemainderBounds coefficient_ceiling_q en_ratio_bounds "
               "floor_log_ratio harmonic_cap_holds harmonic_mean_odd_terms "
-              "mean_remainders remainder_bounds small_j_classification smallest_harmonic_cap_j",
-    "numtheory": "ApproxPair Convergent DivergenceWitness approx_pairs convergents "
-                 "divergent_to_paradox heuristic_j_cap pair_in_s partial_quotients "
+              "mean_remainders remainder_bounds smallest_harmonic_cap_j",
+    "numtheory": "Convergent convergents heuristic_j_cap partial_quotients "
                  "ratio_below_log2_log3 rhin_gap_ok",
     "precision": "Undecided",
     "search": "CstReport INFINITE ParadoxHit coeff_stopping_time delay max_excursion "

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Trajectory, residue_levels, trajectory
+from .dynamics import Trajectory, residue_levels
 from .precision import div_scaled, ln2_scaled, ln3_scaled, log2_ratio_scaled
 
 # ---------------------------------------------------------------------------
@@ -216,26 +216,3 @@ def coefficient_ceiling_q(j: int, m: int) -> int:
         q -= 1
     return q
 
-
-# ---------------------------------------------------------------------------
-# Complete classification for a handful of small lengths
-# ---------------------------------------------------------------------------
-
-SMALL_J_SOLVED = (2, 3, 4, 6, 7, 9)
-
-
-def small_j_classification(j: int) -> set[int]:
-    """All n with a paradoxical length-j trajectory, for the solved lengths.
-
-    The harmonic cap does all the work: H(j) < 1 rules everything out, and
-    H(j) < 3 forces the odd term 1 into the first j iterates, which caps the
-    last term at 2 and hence n at 2; the two candidates are then checked
-    directly.
-    """
-    if j not in SMALL_J_SOLVED:
-        raise ValueError(f"only lengths {SMALL_J_SOLVED} are classified here")
-    if not harmonic_cap_holds(j, 1):
-        return set()
-    if harmonic_cap_holds(j, 3):
-        raise AssertionError(f"H({j}) >= 3; classification argument does not apply")
-    return {n for n in (1, 2) if trajectory(n, j).is_paradoxical()}

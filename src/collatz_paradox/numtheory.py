@@ -1,5 +1,5 @@
-"""Diophantine side: convergents of log2/log3, near-1 power ratios, the
-divergent-to-paradoxical construction, and effective gap bounds.
+"""Diophantine side: convergents of log2/log3, effective gap bounds and the
+heuristic length cap.
 
 Comparisons of the form 3**p vs 2**q are done on materialized integers while
 the exponents stay affordable; past that the same walks continue on certified
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import BudgetExhausted, Trajectory, orbit, trajectory
 from .precision import (
     Undecided,
     certified_sign,
@@ -122,115 +121,6 @@ def partial_quotients(count: int) -> list[int]:
     return _cf_digits_and_convergents(count + 1)[0][:count]
 
 
-@dataclass(frozen=True)
-class ApproxPair:
-    """Exponents (a, b) with 3**a / 2**b in (1 - eps, 1) for the eps used."""
-
-    a: int
-    b: int
-
-    def validate(self, epsilon) -> bool:
-        eps = _as_fraction(epsilon)
-        if not 0 < eps < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        s = 1 - eps
-        lhs = s.numerator << self.b
-        rhs = s.denominator * 3**self.a
-        return lhs < rhs and 3**self.a < (1 << self.b)
-
-
-def approx_pairs(epsilon, count: int) -> list[ApproxPair]:
-    """Pairs (a, b) = even-index convergents with 1 - eps < 3**a/2**b < 1.
-
-    Candidates are taken from the convergent list (index 2, 4, ...) and kept
-    exactly when the two-sided membership holds; generation extends the list
-    until `count` pairs qualify.
-    """
-    eps = _as_fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out: list[ApproxPair] = []
-    depth = 8
-    while True:
-        convs = convergents(min(depth, MAX_CONVERGENTS))
-        for c in convs[2:]:
-            if c.index % 2 != 0:
-                continue
-            pair = ApproxPair(c.p, c.q)
-            if pair.validate(eps) and pair not in out:
-                if pair.b < pair.a + 1:
-                    raise AssertionError("approximation pair must have b >= a + 1")
-                out.append(pair)
-                if len(out) == count:
-                    return out
-        if depth >= MAX_CONVERGENTS:
-            raise ValueError(
-                f"could not find {count} pairs within {MAX_CONVERGENTS} convergents")
-        depth += 8
-
-
-@dataclass(frozen=True)
-class DivergenceWitness:
-    """Outcome of one step of the divergent-to-paradoxical construction."""
-
-    n: int
-    pair: ApproxPair
-    in_s: bool                 # 1 - 1/(4n) < 3^a/2^b < 1
-    j_reached: int             # least j with q_j(n) = a
-    start: int                 # first term of the built trajectory
-    length: int                # its step count
-    lifted: bool               # True when start = 2**(b-j) * n
-    trajectory: Trajectory
-    cst_counterexample: bool
-
-
-def pair_in_s(n: int, pair: ApproxPair) -> bool:
-    """Exact membership of (a, b) in the set S attached to n: 1 - 1/(4n) < 3^a/2^b < 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return pair.validate(Fraction(1, 4 * n))
-
-
-def divergent_to_paradox(n: int, pair: ApproxPair, require_in_s: bool = True,
-                         budget: int = 1_000_000) -> DivergenceWitness:
-    """Build the paradox candidate the construction attaches to (n, pair).
-
-    Walk from n until a odd steps have occurred, at the least such j.  If
-    j >= b the candidate is the length-j trajectory from n itself (a CST
-    counterexample when it verifies for n != 1 and the walk never dropped
-    below n); otherwise lift to 2**(b-j) * n and use b steps.  The candidate
-    is returned as a fresh trajectory; its is_paradoxical() verifies it.
-
-    With require_in_s=False the construction runs mechanically for pairs
-    outside S; is_paradoxical() then reports whatever comes out.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a, b = pair.a, pair.b
-    if a < 1 or b < 1:
-        raise ValueError("pair exponents must be positive")
-    in_s = pair_in_s(n, pair)
-    if require_in_s and not in_s:
-        raise ValueError(f"pair {pair} is not in S for n = {n}")
-
-    min_seen = n
-    for j, (cur, q, _) in enumerate(orbit(n), 1):
-        if j > budget:
-            raise BudgetExhausted(n, budget, what="odd-step count never reached a")
-        min_seen = min(min_seen, cur)
-        if q == a:
-            break
-
-    if j >= b:
-        built = trajectory(n, j)
-        cst = n != 1 and min_seen >= n and built.is_paradoxical()
-        return DivergenceWitness(n, pair, in_s, j, n, j, False, built, cst)
-    m = n << (b - j)
-    return DivergenceWitness(n, pair, in_s, j, m, b, True, trajectory(m, b), False)
-
-
 # ---------------------------------------------------------------------------
 # Effective gap bound and the heuristic length cap
 # ---------------------------------------------------------------------------
@@ -297,14 +187,15 @@ def heuristic_j_cap(alpha, beta) -> int:
     """Largest j compatible with j**14.3 * exp(-j/(alpha*beta)) > 3 ln3/ln2.
 
     alpha and beta are taken as exact rationals (decimal strings and floats
-    are converted through their decimal form).  The left side has its maximum
-    at j* = 14.3*alpha*beta and is strictly decreasing beyond, so the last
-    admissible j is isolated by certified bracketing; returns 0 when no j >= 2
-    qualifies.
+    are converted through their decimal form), and each must be positive.
+    The left side has its maximum at j* = 14.3*alpha*beta and is strictly
+    decreasing beyond, so the last admissible j is isolated by certified
+    bracketing; returns 0 when no j >= 2 qualifies.
     """
-    ab = _as_fraction(alpha) * _as_fraction(beta)
-    if ab <= 0:
+    a, b = _as_fraction(alpha), _as_fraction(beta)
+    if a <= 0 or b <= 0:
         raise ValueError("alpha and beta must be positive")
+    ab = a * b
     coeff = Fraction(143, 10)
 
     def margin(jv: int, prec: int) -> tuple[int, int]:

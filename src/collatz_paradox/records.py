@@ -278,12 +278,14 @@ class RecordTable:
         """First record holder whose value is >= threshold (> when strict).
 
         Because the table is a record table, this is the smallest integer of
-        all with a statistic that large.
+        all with a statistic that large.  A table with no such entry raises
+        ValueError, naming its source.
         """
         for e in self.entries:
             if e.value > threshold or (not strict and e.value == threshold):
                 return e.n
-        raise LookupError(f"no entry with value {'>' if strict else '>='} {threshold}")
+        raise ValueError(f"{self.source}: no {self.kind.value} record with value "
+                         f"{'>' if strict else '>='} {threshold}")
 
     def max_record_value(self) -> int:
         v = self.entries[-1].value if self.entries else 0
@@ -315,10 +317,12 @@ def ingest_reference_records(kind: RecordKind, path: str | Path,
     """Parse a reference record table and cross-check it against local scans.
 
     - every data line must be "n value" with both columns strictly increasing;
-    - the prefix with n <= prefix_check_to must equal the locally computed
-      record list exactly (a mismatch is a data-integrity error); a caller
-      that already holds compute_records(N, kind) for some N >=
-      prefix_check_to passes it as local, and it is read instead of a new scan;
+    - the file's records with n <= prefix_check_to must equal the locally
+      computed records with n <= prefix_check_to exactly, so a file that ends
+      before a local record does not pass (a mismatch is a data-integrity
+      error); a caller that already holds compute_records(N, kind) for some
+      N >= prefix_check_to passes it as local, and it is read instead of a
+      new scan;
     - the statistic of every holder beyond that prefix is recomputed by a
       direct trajectory and must match the stored value.
     """
@@ -352,11 +356,10 @@ def ingest_reference_records(kind: RecordKind, path: str | Path,
         raise IngestError(f"{path}: no data lines")
 
     if prefix_check_to:
-        upto = min(prefix_check_to, entries[-1].n)
         if local is None:
-            local = compute_records(upto, kind)
+            local = compute_records(prefix_check_to, kind)
         file_prefix = [e for e in entries if e.n <= prefix_check_to]
-        local = [e for e in local if e.n <= upto]
+        local = [e for e in local if e.n <= prefix_check_to]
         if file_prefix != local:
             raise IngestError(
                 f"{path}: record prefix up to {prefix_check_to} does not match "

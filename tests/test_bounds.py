@@ -10,11 +10,10 @@ from collatz_paradox.bounds import (coefficient_ceiling_q, en_ratio_bounds,
                                     floor_log_ratio, harmonic_cap_holds,
                                     harmonic_mean_odd_terms, mean_remainder,
                                     mean_remainders,
-                                    remainder_bounds,
-                                    small_j_classification, smallest_harmonic_cap_j)
+                                    remainder_bounds, smallest_harmonic_cap_j)
 from collatz_paradox.dynamics import Formalism, trajectory
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
-from collatz_paradox.search import scan_paradoxes
+from collatz_paradox.search import naive_paradoxes, scan_paradoxes
 
 
 def test_floor_log_ratio_values():
@@ -248,15 +247,16 @@ def test_smallest_harmonic_cap_j_matches_exact_scan():
         assert smallest_harmonic_cap_j(m) == j == smallest_harmonic_cap_j(m, prec=8), m
 
 
-def test_small_j_classification():
-    assert small_j_classification(3) == set()
-    assert small_j_classification(2) == {1, 2}
-    assert small_j_classification(4) == {1, 2}
-    assert small_j_classification(6) == {1, 2}
-    assert small_j_classification(7) == {1}
-    assert small_j_classification(9) == {1}
-    with pytest.raises(ValueError):
-        small_j_classification(5)
+def test_small_lengths_have_only_trivial_paradoxes():
+    # The paper's classification for j in 2, 3, 4, 6, 7, 9: H(j) < 3 puts the
+    # odd term 1 into every paradox of length j (H(3) < 1 rules out all), so
+    # its last term is at most 2 and its start is 1 or 2.
+    expected = {2: {1, 2}, 3: set(), 4: {1, 2}, 6: {1, 2}, 7: {1}, 9: {1}}
+    for j, starts in expected.items():
+        assert not harmonic_cap_holds(j, 3)
+        assert harmonic_cap_holds(j, 1) == (j != 3)
+        assert {n for n in (1, 2) if trajectory(n, j).is_paradoxical()} == starts
+    assert [p for p in naive_paradoxes(3, 10**4, 9) if p[1] in expected] == []
 
 
 def test_classic_trajectory_bounds_also_hold():

@@ -204,6 +204,40 @@ def test_bounds_argument_errors_are_usage_errors(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_bounds_heuristic_refuses_two_negative_factors(capsys):
+    assert main(["bounds", "heuristic", "-42", "-3"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: alpha and beta must be positive\n"
+
+
+def test_bounds_chain_on_tables_short_of_n0_is_one_error_line(tmp_path, capsys):
+    # tables scanned to 10^5 pass ingestion, but no excursion there reaches 10^9
+    for kind in (records.RecordKind.MAX_EXCURSION_T, records.RecordKind.DELAY_COL):
+        out = records.reference_path(kind, tmp_path)
+        assert main(["records", "--kind", kind.value, "--range", "1..10^5",
+                     "--out", str(out)]) == EXIT_OK
+        assert "reference cross-check ok" in capsys.readouterr().err
+    assert main(["bounds", "chain", "--refs", str(tmp_path)]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "max_excursion_t_records.txt" in err and ">= 1000000000" in err
+
+
+def test_records_refuses_a_truncated_reference_table(tmp_path, capsys):
+    # 10 lines ending at 703; the scan to 10^5 finds 19 records
+    kind = records.RecordKind.MAX_EXCURSION_T
+    lines = records.reference_path(kind).read_text().splitlines()
+    data = [l for l in lines if l and not l.startswith("#")][:10]
+    assert data[-1].split()[0] == "703"
+    records.reference_path(kind, tmp_path).write_text("\n".join(data) + "\n")
+    rc = main(["records", "--kind", kind.value, "--range", "1..10^5",
+               "--refs", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    assert "reference cross-check FAILED" in capsys.readouterr().err
+
+
 def test_bounds_chain_reads_the_refs_directory(tmp_path, capsys):
     assert main(["bounds", "chain", "--refs", str(tmp_path)]) == EXIT_FAIL
     assert str(tmp_path) in capsys.readouterr().err

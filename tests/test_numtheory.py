@@ -1,13 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from collatz_paradox import numtheory
-from collatz_paradox.dynamics import BudgetExhausted, step, trajectory
-from collatz_paradox.numtheory import (ApproxPair, DivergenceWitness, approx_pairs,
-                                       convergents, divergent_to_paradox, heuristic_j_cap,
-                                       heuristic_threshold_str, pair_in_s,
+from collatz_paradox.dynamics import orbit, trajectory
+from collatz_paradox.numtheory import (convergents, heuristic_j_cap, heuristic_threshold_str,
                                        partial_quotients, ratio_below_log2_log3,
                                        rhin_gap_ok)
 from collatz_paradox.precision import div_scaled, ln2_scaled, ln3_scaled
@@ -59,96 +56,27 @@ def test_convergents_count_validation():
         convergents(61)
 
 
-def test_approx_pairs():
-    ps = approx_pairs(Fraction(1, 4), 3)
-    assert (ps[0].a, ps[0].b) == (5, 8)
-    assert all(p.validate(Fraction(1, 4)) for p in ps)
-    assert all(p.b >= p.a + 1 for p in ps)
-    ps = approx_pairs(Fraction(1, 2), 1)
-    assert (ps[0].a, ps[0].b) == (1, 2)
-    with pytest.raises(ValueError):
-        approx_pairs(Fraction(3, 2), 1)
+def _in_s(n, a, b):
+    # S(n) = {(a, b) : 1 - 1/(4n) < 3^a/2^b < 1}, by exact comparison
+    return 1 - Fraction(1, 4 * n) < Fraction(3**a, 2**b) < 1
 
 
-def test_pair_in_s():
-    assert pair_in_s(1, ApproxPair(5, 8))           # 3/4 < 243/256 < 1
-    assert not pair_in_s(1, ApproxPair(1, 2))       # 3/4 is not > 3/4
-    assert pair_in_s(7, ApproxPair(41, 65))
-
-
-def test_divergent_construction_direct_case():
-    w = divergent_to_paradox(1, ApproxPair(5, 8))
-    assert w.in_s and not w.lifted
-    assert w.j_reached == 9 and w.start == 1 and w.length == 9
-    assert w.trajectory.is_paradoxical()
-    t = w.trajectory
+def test_convergent_pairs_give_the_direct_paradox():
+    # The paper ties paradoxes to divergence through pairs (a, b) in S(n):
+    # a walk from n that reaches a odd steps at some j >= b gives the
+    # paradoxical length-j trajectory from n itself.  Start 1 with (5, 8)
+    # is that direct case.
+    pairs = {(c.p, c.q) for c in convergents(8)}
+    assert {(5, 8), (1, 2), (41, 65)} <= pairs
+    assert _in_s(1, 5, 8)                 # 3/4 < 243/256 < 1
+    assert not _in_s(1, 1, 2)             # 3/4 is not > 3/4
+    assert _in_s(7, 41, 65)
+    j = next(j for j, (_, q, _) in enumerate(orbit(1), 1) if q == 5)
+    assert j == 9   # at least b = 8, so no lift: the trajectory starts at 1
+    t = trajectory(1, 9)
+    assert t.is_paradoxical()
     assert Fraction(3**t.q, 1 << t.e) == Fraction(243, 512)
-    assert w.trajectory.last() == 2
-    assert not w.cst_counterexample
-
-
-def test_divergent_construction_lift_mechanism():
-    # no pair in S can trigger the lift for start 1 (b >= a+1 there forces the
-    # ratio down to 3/4 or below), so the lift branch is exercised mechanically
-    w = divergent_to_paradox(1, ApproxPair(1, 2), require_in_s=False)
-    assert w.lifted and w.start == 2 and w.length == 2
-    assert w.trajectory.is_paradoxical()
-    with pytest.raises(ValueError):
-        divergent_to_paradox(1, ApproxPair(1, 2))
-
-
-def test_divergent_construction_mechanism_on_converging_start():
-    w = divergent_to_paradox(3, ApproxPair(5, 8))
-    assert w.in_s and w.j_reached == 10
-    assert not w.trajectory.is_paradoxical()
-    assert not w.cst_counterexample
-
-
-def test_divergent_budget():
-    with pytest.raises(BudgetExhausted):
-        divergent_to_paradox(1, ApproxPair(50, 80), require_in_s=False, budget=20)
-
-
-def _old_divergent_to_paradox(n, pair, budget):
-    # the construction with its walk to a odd steps as it was first written,
-    # one hand-written step loop, for pairs taken as they come (outside S too)
-    a, b = pair.a, pair.b
-    in_s = pair_in_s(n, pair)
-    cur = n
-    q = 0
-    j = 0
-    min_seen = n
-    while q < a:
-        if j >= budget:
-            raise BudgetExhausted(n, budget, what="odd-step count never reached a")
-        odd = cur & 1
-        cur = step(cur)
-        j += 1
-        q += odd
-        if cur < min_seen:
-            min_seen = cur
-    if j >= b:
-        built = trajectory(n, j)
-        cst = n != 1 and min_seen >= n and built.is_paradoxical()
-        return DivergenceWitness(n, pair, in_s, j, n, j, False, built, cst)
-    m = n << (b - j)
-    return DivergenceWitness(n, pair, in_s, j, m, b, True, trajectory(m, b), False)
-
-
-def _outcome(f, *args, **kwargs):
-    try:
-        return f(*args, **kwargs)
-    except BudgetExhausted as exc:
-        return str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 10**5), a=st.integers(1, 80), b=st.integers(1, 160),
-       budget=st.one_of(st.integers(0, 40), st.integers(0, 400)))
-def test_divergent_walk_equals_its_old_step_loop(n, a, b, budget):
-    pair = ApproxPair(a, b)
-    assert (_outcome(divergent_to_paradox, n, pair, require_in_s=False, budget=budget)
-            == _outcome(_old_divergent_to_paradox, n, pair, budget))
+    assert t.last() == 2
 
 
 def test_rhin_gap():
@@ -183,8 +111,10 @@ def test_heuristic_cap():
     assert cap < 17396
     assert heuristic_j_cap(20, 2) < cap
     assert heuristic_j_cap(Fraction(1, 100), Fraction(1, 100)) == 0
-    with pytest.raises(ValueError):
-        heuristic_j_cap(0, 3)
+    # each factor must be positive, not only their product
+    for alpha, beta in ((0, 3), (-42, -3), (42, -3), ("-0.5", "-2")):
+        with pytest.raises(ValueError, match="alpha and beta must be positive"):
+            heuristic_j_cap(alpha, beta)
 
 
 def test_heuristic_cap_monotone_in_product():

@@ -244,6 +244,20 @@ def test_ingest_rejects_wrong_value(tmp_path):
         ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=100)
 
 
+def test_ingest_rejects_a_table_that_ends_before_the_prefix(tmp_path):
+    # 10 records ending at 703; the scan to 10^5 finds 19, none in (703, 1000]
+    src = reference_path(RecordKind.MAX_EXCURSION_T).read_text()
+    lines = [l for l in src.splitlines() if l and not l.startswith("#")][:10]
+    assert lines[-1].split()[0] == "703"
+    p = tmp_path / "truncated.txt"
+    p.write_text("\n".join(lines) + "\n")
+    assert len(compute_records(10**5, RecordKind.MAX_EXCURSION_T)) == 19
+    with pytest.raises(IngestError, match="prefix"):
+        ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=10**5)
+    table = ingest_reference_records(RecordKind.MAX_EXCURSION_T, p, prefix_check_to=1000)
+    assert len(table.entries) == 10
+
+
 def _ingest_both(refs_dir=None, prefix_check_to=10**4):
     return [ingest_reference_records(kind, reference_path(kind, refs_dir), prefix_check_to)
             for kind in (RecordKind.MAX_EXCURSION_T, RecordKind.DELAY_COL)]

@@ -780,7 +780,7 @@ def test_census_submodule_is_reachable_from_the_package():
 
 def test_package_exports_are_one_list_of_names():
     exported = collatz_paradox.__all__
-    assert len(exported) == len(set(exported)) == 59
+    assert len(exported) == len(set(exported)) == 53
     for name in exported:   # each name loads its module on first use
         getattr(collatz_paradox, name)
     with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
