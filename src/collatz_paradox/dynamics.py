@@ -101,12 +101,6 @@ class Trajectory:
             raise ValueError("trajectory must have at least one step")
         return self.coefficient_lt_one() and self.last() >= self.start
 
-    def parity_vector(self) -> tuple[int, ...]:
-        """Parities of the first j iterates, a tuple of 0/1 bits whose sum is q."""
-        if self.j < 1:
-            raise ValueError("parity vector must have length >= 1")
-        return tuple(m & 1 for m in self.iterates[:-1])
-
     def odd_terms(self) -> list[int]:
         """The odd iterates among the first j terms (the last one excluded)."""
         return [m for m in self.iterates[:-1] if m & 1]

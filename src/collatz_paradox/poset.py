@@ -1,12 +1,13 @@
-"""Unordered majorization on parity vectors, the tuples of 0/1 bits that
-`Trajectory.parity_vector` returns.
+"""Unordered majorization on parity vectors: the words of 0/1 bits, as
+tuples, that give the parities of the first j iterates of a trajectory.
 
 The generating relation swaps one adjacent "01" into "10"; its transitive
 closure coincides with prefix-sum dominance between words of equal length and
 equal weight.  Both views are implemented: `up_sets` decides the order, giving
 every member's whole up-set in one (length, weight) class as an int bitmask,
 `covers` yields the generator edges, and `hasse` materializes the diagram for
-one class.
+one class.  `check_remainder_monotonicity` tests, on the words alone, that the
+order makes the compressed map's remainder strictly decreasing.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, groupby
 
-from .dynamics import Formalism, trajectory
-
-HASSE_DEFAULT_CAP = 16   # longest words hasse draws (edge counts explode)
+WORD_CAP = 16   # longest words of hasse and the monotonicity check (C(j, q), 2**j explode)
 
 
 def _prefix_sums(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -119,9 +118,9 @@ class HasseDiagram:
 
 
 def hasse(j: int, q: int) -> HasseDiagram:
-    """Hasse diagram over all C(j, q) vectors; j at most HASSE_DEFAULT_CAP."""
-    if j > HASSE_DEFAULT_CAP:
-        raise ValueError(f"length {j} exceeds cap {HASSE_DEFAULT_CAP}")
+    """Hasse diagram over all C(j, q) vectors; j at most WORD_CAP."""
+    if j > WORD_CAP:
+        raise ValueError(f"length {j} exceeds cap {WORD_CAP}")
     nodes = all_vectors(j, q)
     index = {v: i for i, v in enumerate(nodes)}
     edges = []
@@ -131,58 +130,59 @@ def hasse(j: int, q: int) -> HasseDiagram:
     return HasseDiagram(j, q, nodes, sorted(edges))
 
 
+def _remainder_numerator(v: tuple[int, ...]) -> int:
+    """The compressed map's remainder numerator after the steps whose parities v
+    gives, the `e_num` of `trajectory`: sum of 3**(q - k) * 2**i_k over the
+    1-positions i_1 < ... < i_q of v."""
+    c = 0
+    for i, bit in enumerate(v):
+        if bit:
+            c = 3 * c + (1 << i)
+    return c
+
+
 @dataclass
 class MonotonicityReport:
     j: int
     pairs_checked: int
-    violations: list[tuple[int, int]]  # residue pairs (m, n) with V(m) < V(n) but E(m) <= E(n)
+    violations: list[tuple[tuple[int, ...], tuple[int, ...]]]  # words v < w, E(v) <= E(w)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def check_remainder_monotonicity(j: int,
-                                 formalism: Formalism = Formalism.SHORTCUT) -> MonotonicityReport:
-    """Strictly preceding parity vectors must have strictly larger remainders.
-
-    Brute force over all residues mod 2**j: every comparable pair is tested,
-    read from the `up_sets` of each weight class and a mask of the members
-    whose remainder numerator is not smaller; the violations come out in the
-    order of a nested loop over the members.
+def check_remainder_monotonicity(j: int) -> MonotonicityReport:
+    """Strictly preceding parity vectors must have strictly larger remainders
+    on the compressed map, for every word of length j and so for every residue
+    mod 2**j: r -> (parities of r's first j steps) is a bijection of the
+    residues onto the words (R. Terras, 1976).  The words of one weight,
+    `all_vectors(j, q)`, share the denominator 2**j, so numerators compare
+    them.  Every comparable pair is read from the `up_sets` and a mask of the
+    members whose numerator is not smaller; the violations, word pairs, come
+    out in the order of a nested loop over the members.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    if j > 16:
-        raise ValueError("j > 16 not supported (2**j residues)")
-    # v -> (n, E numerator), one residue per vector: the remainder depends on
-    # the parity vector alone, and all remainders of one weight q share the
-    # denominator 2**e, e = j on the shortcut map and j - q on the classic map
-    by_vector: dict[tuple[int, ...], tuple[int, int]] = {}
-    for n in range(1, 2**j + 1):
-        t = trajectory(n, j, formalism)
-        by_vector[t.parity_vector()] = (n, t.e_num)
-
+    if j > WORD_CAP:
+        raise ValueError(f"j > {WORD_CAP} not supported (2**j words)")
     violations = []
     checked = 0
-    by_weight: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-    for v, (n, num) in by_vector.items():
-        by_weight.setdefault(sum(v), []).append((v, n, num))
-    for members in by_weight.values():
-        ups = up_sets([v for v, _, _ in members])
-        # at_least[num]: the members whose numerator is >= num
-        at_least: dict[int, int] = {}
-        for k, (_, _, num) in enumerate(members):
-            at_least[num] = at_least.get(num, 0) | 1 << k
-        mask = 0
-        for num in sorted(at_least, reverse=True):
-            mask = at_least[num] = mask | at_least[num]
-        for k, (_, m, num) in enumerate(members):
+    for q in range(j + 1):
+        members = all_vectors(j, q)
+        ups = up_sets(members)
+        nums = [_remainder_numerator(v) for v in members]
+        # at_least[num]: the members whose numerator is >= num (the last write
+        # for num comes after every member whose numerator is >= num)
+        mask, at_least = 0, {}
+        for num, k in sorted(zip(nums, range(len(nums))), reverse=True):
+            mask = at_least[num] = mask | 1 << k
+        for k, (v, num) in enumerate(zip(members, nums)):
             strict = ups[k] & ~(1 << k)
             checked += strict.bit_count()
             bad = strict & at_least[num]
             while bad:   # ascending member order, as a pair loop would give
                 low = bad & -bad
-                violations.append((m, members[low.bit_length() - 1][1]))
+                violations.append((v, members[low.bit_length() - 1]))
                 bad ^= low
     return MonotonicityReport(j, checked, violations)

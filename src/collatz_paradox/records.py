@@ -431,6 +431,8 @@ def theorem5_bound_chain(mex: RecordTable, delays: RecordTable) -> BoundChainRep
 
     Every number in the report is derived here: table lookups use the
     ingested tables, and the j/q bounds are exact big-integer computations.
+    A delay table whose frontier n1 is not above n0 bounds nothing past n0,
+    and raises ValueError.
     """
     if mex.kind is not RecordKind.MAX_EXCURSION_T or delays.kind is not RecordKind.DELAY_COL:
         raise ValueError("the bound chain needs a max-excursion-t and a delay-col table, "
@@ -441,6 +443,8 @@ def theorem5_bound_chain(mex: RecordTable, delays: RecordTable) -> BoundChainRep
     needed = j0 + q0
     max_delay = delays.max_record_value()
     n1 = delays.frontier_holder_bound()
+    if n1 <= N0:
+        raise ValueError(f"{delays.source}: delay frontier n1 = {n1} does not exceed n0 = {N0}")
     m1 = mex.smallest_holder_with_value(n1, strict=True)
     j1 = smallest_harmonic_cap_j(m1)
     return BoundChainReport(N0, m0, j0, q0, needed, max_delay, n1, m1, j1,

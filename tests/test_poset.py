@@ -1,12 +1,11 @@
-import dataclasses
 import enum
 from itertools import combinations, product
 
 import pytest
 
 from collatz_paradox import checks, poset
-from collatz_paradox.dynamics import Formalism, trajectory
-from collatz_paradox.poset import (HASSE_DEFAULT_CAP, HasseDiagram, MonotonicityReport,
+from collatz_paradox.dynamics import trajectory
+from collatz_paradox.poset import (WORD_CAP, HasseDiagram, MonotonicityReport,
                                    all_vectors, check_remainder_monotonicity, covers,
                                    hasse, run_length, up_sets)
 
@@ -167,7 +166,7 @@ def test_hasse_length4_weight2():
 def test_hasse_trivial_and_cap():
     assert hasse(5, 0).node_count == 1
     with pytest.raises(ValueError):
-        hasse(HASSE_DEFAULT_CAP + 1, 2)
+        hasse(WORD_CAP + 1, 2)
 
 
 def test_unique_extremes_everywhere():
@@ -233,32 +232,44 @@ def test_remainder_monotonicity_small():
     assert check_remainder_monotonicity(1).pairs_checked == 0
 
 
-def _monotonicity_by_walk(j, formalism):
-    # one prefix-sum walk per ordered pair of one weight, in member order
-    by_vector = {}
+def _residue_words(j):
+    # parity word -> e_num, read off one trajectory per residue mod 2**j
+    out = {}
     for n in range(1, 2**j + 1):
-        t = poset.trajectory(n, j, formalism)
-        by_vector[t.parity_vector()] = (n, t.e_num)
-    by_weight = {}
-    for v, (n, num) in by_vector.items():
-        by_weight.setdefault(sum(v), []).append((v, n, num))
+        t = trajectory(n, j)
+        out[tuple(m & 1 for m in t.iterates[:-1])] = t.e_num
+    return out
+
+
+def test_word_fold_equals_the_trajectory_remainder():
+    # each residue's word folds to its trajectory's e_num, and the residues of
+    # one period give every word: the check that reads words misses no residue
+    for j in range(1, 11):
+        by_word = _residue_words(j)
+        assert len(by_word) == 2**j
+        for v, num in by_word.items():
+            assert poset._remainder_numerator(v) == num, (j, v)
+
+
+def _monotonicity_by_pair_loop(j, numerator):
+    # one prefix-sum walk per ordered pair of one weight, in member order
     checked = 0
     violations = []
-    for members in by_weight.values():
-        for va, m, num_m in members:
-            for vb, n, num_n in members:
-                if _compare_by_walk(va, vb) is Rel.LESS:
+    for q in range(j + 1):
+        members = all_vectors(j, q)
+        for v in members:
+            for w in members:
+                if _compare_by_walk(v, w) is Rel.LESS:
                     checked += 1
-                    if not num_m > num_n:
-                        violations.append((m, n))
+                    if not numerator[v] > numerator[w]:
+                        violations.append((v, w))
     return MonotonicityReport(j, checked, violations)
 
 
-@pytest.mark.parametrize("formalism", list(Formalism))
-def test_monotonicity_report_equals_the_pair_loop(formalism):
+def test_monotonicity_report_equals_the_pair_loop():
     for j in range(1, 11):
-        fast = check_remainder_monotonicity(j, formalism)
-        slow = _monotonicity_by_walk(j, formalism)
+        fast = check_remainder_monotonicity(j)
+        slow = _monotonicity_by_pair_loop(j, _residue_words(j))
         assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
         assert fast.ok
 
@@ -269,18 +280,20 @@ def test_monotonicity_shortcut_pair_counts():
     assert sum(counts) == 80452
 
 
-@pytest.mark.parametrize("formalism", list(Formalism))
-def test_monotonicity_violations_are_listed_like_the_pair_loop(monkeypatch, formalism):
-    # a wrong remainder numerator on every fourth residue, tied on all of
-    # them, so that both implementations must enumerate violations
-    def bent(n, j, f):
-        t = trajectory(n, j, f)
-        return dataclasses.replace(t, e_num=0) if n % 4 == 0 else t
+def test_monotonicity_violations_are_listed_like_the_pair_loop(monkeypatch):
+    # a wrong remainder numerator on every word that starts 00 (the residues
+    # 0 mod 4), tied on all of them, so that both implementations must
+    # enumerate violations
+    real = poset._remainder_numerator
 
-    monkeypatch.setattr(poset, "trajectory", bent)
+    def bent(v):
+        return 0 if v[:2] == (0, 0) else real(v)
+
+    monkeypatch.setattr(poset, "_remainder_numerator", bent)
     for j in (5, 6, 8):
-        fast = check_remainder_monotonicity(j, formalism)
-        slow = _monotonicity_by_walk(j, formalism)
+        fast = check_remainder_monotonicity(j)
+        slow = _monotonicity_by_pair_loop(j, {v: bent(v) for q in range(j + 1)
+                                              for v in all_vectors(j, q)})
         assert fast.violations
         assert (fast.pairs_checked, fast.violations) == (slow.pairs_checked, slow.violations)
 
@@ -317,16 +330,10 @@ def test_remainder_monotonicity_counts_every_pair_past_j_10():
     assert rep.ok and rep.pairs_checked == 738804
 
 
-def test_remainder_monotonicity_classic_map():
-    # the check holds on the classic map past j = 10 too, and checks each
-    # pair of parity vectors once however many residues realise it; lengths
-    # past 16 are refused on either map
-    for j, pairs in ((4, 9), (10, 2139), (11, 5140)):
-        rep = check_remainder_monotonicity(j, Formalism.CLASSIC)
-        assert rep.ok and rep.pairs_checked == pairs
-    for formalism in Formalism:
-        with pytest.raises(ValueError, match="j > 16"):
-            check_remainder_monotonicity(17, formalism)
+def test_remainder_monotonicity_refuses_words_past_the_cap():
+    assert WORD_CAP == 16
+    with pytest.raises(ValueError, match="j > 16"):
+        check_remainder_monotonicity(17)
 
 
 def test_dot_export():

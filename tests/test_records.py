@@ -296,6 +296,36 @@ def test_bound_chain_custom_refs_dir(tmp_path):
     assert theorem5_bound_chain(mex, delays).j1 == 301994
 
 
+def _packaged_prefix(kind, n_max, **frontier):
+    # the packaged table's records up to n_max, as a scan to n_max writes them
+    lines = reference_path(kind).read_text().splitlines()
+    entries = [RecordEntry(*map(int, line.split())) for line in lines
+               if line and not line.startswith("#")]
+    return records.RecordTable(kind, [e for e in entries if e.n <= n_max],
+                               f"{kind.value} records to {n_max}", **frontier)
+
+
+def test_bound_chain_refuses_a_delay_frontier_not_above_n0():
+    # tables to 10^6 reach an excursion of 10^9, but their delays say nothing
+    # about the starts past 10^9 that the second stage bounds
+    mex = _packaged_prefix(RecordKind.MAX_EXCURSION_T, 10**6)
+    delays = _packaged_prefix(RecordKind.DELAY_COL, 10**6)
+    assert mex.smallest_holder_with_value(records.N0) == 113383
+    assert delays.frontier_holder_bound() == 837799
+    with pytest.raises(ValueError) as exc:
+        theorem5_bound_chain(mex, delays)
+    assert str(exc.value) == ("delay-col records to 1000000: delay frontier n1 = 837799 "
+                              "does not exceed n0 = 1000000000")
+    # the frontier must lie strictly above n0
+    for above, ok in ((records.N0, False), (records.N0 + 1, True)):
+        delays = _packaged_prefix(RecordKind.DELAY_COL, 10**6, frontier_holder_above=above)
+        if ok:
+            assert theorem5_bound_chain(mex, delays).n1 == records.N0 + 1
+        else:
+            with pytest.raises(ValueError, match="n1 = 1000000000 does not exceed"):
+                theorem5_bound_chain(mex, delays)
+
+
 def test_bound_chain_rejects_wrong_kinds():
     mex, delays = _ingest_both(prefix_check_to=10**3)
     with pytest.raises(ValueError, match="max-excursion-t and a delay-col"):
