@@ -26,15 +26,20 @@ verification of the 3x+1 and related conjectures", 2010), wherever the row's
 bounds prove that no iterate inside the jump is a hit or can end the walk;
 see scan_paradoxes.
 
-The first K steps of x = r mod 2**K are y_i = (3**q_i * x + c_i) / 2**i, so
-whether step i is a hit or the first descent is a linear test in x
-(R. Terras, "A stopping time problem on the positive integers", 1976).  So
-no start above one constant per map has a hit in its first K steps, which
-scan_paradoxes may then jump.  The same build yields the stopping-time
-decomposition: 57 residue classes mod 2**tau (tau <= K) whose starts above a
-threshold first fall below themselves at step tau, and the 226 rows whose
-starts do not within K steps.  verify_cst and the record scans sieve by it
-and walk only the starts it does not settle.
+The first i steps of x are y_i = (3**q_i * x + c_i) / 2**i, so whether step
+i is a hit or the first descent is a linear test in x (R. Terras, "A
+stopping time problem on the positive integers", 1976).  With the paper's
+extremal remainder as the bound on c_i / 2**i, that gives for each m a
+constant per map above which no start has a hit in its first m*K steps:
+3018 on both maps for 2K steps, and below 2**24 for 4K.  So every start
+above them may take up to four K-step jumps in a row before its first single
+step (see scan_paradoxes), inside the memo as past it.
+
+The same build yields the stopping-time decomposition: 57 residue classes
+mod 2**tau (tau <= K) whose starts above a threshold first fall below
+themselves at step tau, and the 226 rows whose starts do not within K steps.
+verify_cst and the record scans sieve by it and walk only the starts it does
+not settle.
 
 K = 12.  The table is built as a prefix tree over the residues, one step per
 level (see _build_jump_rows), in about 10 ms; a process builds it on first
@@ -203,11 +208,12 @@ def _memo_for_range(n_lo: int, n_hi: int, floor: int) -> tuple[memoryview, int]:
     below the start), and a start at or above it walks until it falls below
     the floor.  A search gets the memo up to min(hi + 1, 2**24) when that
     many entries are at most twice its starts.  Building an entry takes
-    0.4-0.6 us, and a start near 10**7 takes about 1.5 us inside the memo
-    against 5.4 us down to 2**16, so the build pays from about one start per
-    six entries.  Past 2**24 the starts walk down to 2**24, most of them
-    after a start jump: 2.7-2.9 us a start at 10**8 and 3.3-3.4 at 10**9
-    (shortcut), against 3.8-6.3 us down to 2**16.  Any other search
+    about 0.4 us, and a shortcut start near 10**7 takes 0.6-0.8 us inside
+    the memo against 1.8-2.1 us down to 2**16, so the build pays from about
+    one start per three entries.  Past 2**24 the starts walk down to 2**24,
+    after up to four start jumps: 1.9-2.1 us a start at 10**8 and
+    1.9-2.2 at 10**9 (shortcut), against 2.2-2.6 and 2.6-3.0 us down to
+    2**16 (2-core VM, in process, the memo built beforehand).  Any other search
     gets 2**16 entries: its walks must fall that far before the exit can
     fire, but a short run far out (one CLI process per window) would
     otherwise pay a build of millions of entries for a few thousand starts.
@@ -282,12 +288,36 @@ JUMP_K = 12                      # steps per jump; 2**K rows
 _JUMP_MASK = (1 << JUMP_K) - 1
 
 
-# No start above these has a hit in its first K steps; see _build_jump_rows.
-_NO_HIT_SHORTCUT, _NO_HIT_CLASSIC = (
-    max(((3**q - 2**q) << (i - q)) // ((1 << (i - c)) - 3**q)
-        for i in range(1, JUMP_K + 1) for q in range(i) for c in cs
-        if 3**q < 1 << (i - c))
-    for cs in ((0,), (0, 1)))
+_JUMP_DEPTH = 4                  # a start takes at most this many jumps before its first step
+
+
+def _no_hit_bounds() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For m = 1.._JUMP_DEPTH, a b such that no start above b has a hit in
+    its first m*K steps, on the shortcut map and on the classic one: the
+    greatest (3**q - 2**q) * 2**(i-q) // (2**(i-c) - 3**q) over i <= m*K
+    and 3**q < 2**(i-c), with c = 0 on the shortcut map and c in (0, 1) on
+    the classic one (see _build_jump_rows).  For fixed i and c the term
+    grows with q (its numerator is 2**i * (1.5**q - 1)), so only the
+    greatest such q counts."""
+    shortcut, classic = [], []
+    best = [0, 0]
+    qs = [0, 0]
+    for i in range(1, _JUMP_DEPTH * JUMP_K + 1):
+        for c in (0, 1):
+            top = 1 << (i - c)
+            while 3 ** (qs[c] + 1) < top:
+                qs[c] += 1
+            q = qs[c]
+            if top > 1:
+                best[c] = max(best[c], ((3**q - (1 << q)) << (i - q)) // (top - 3**q))
+        if i % JUMP_K == 0:
+            shortcut.append(best[0])
+            classic.append(max(best))
+    return tuple(shortcut), tuple(classic)
+
+
+# (129, 3018, 86293, 5174656) and (259, 3018, 172586, 10349312) at K = 12
+_NO_HIT_SHORTCUT, _NO_HIT_CLASSIC = _no_hit_bounds()
 # (rows, classes, walked) of _build_jump_rows; built on first use, or before a pool forks
 _jump_table: tuple[list[tuple], list[tuple], list[tuple]] | None = None
 
@@ -338,6 +368,7 @@ def _build_jump_rows() -> tuple[list[tuple], list[tuple], list[tuple]]:
     and 3**q < 2**(i-c), has a hit in its first K steps; c = 0 on the
     shortcut map and c in (0, 1) on the classic one.  At K = 12 these bounds
     are 129 and 259, at (i, q) = (8, 5) and (9, 5): the rows' greatest.
+    _no_hit_bounds takes the same greatest over i <= m*K for m K-step jumps.
 
     The build is a prefix tree.  The parity of y_{i-1}, so step i, depends on
     x mod 2**i only (y_{i-1} * 2**(i-1) = 3**q * x + c), so level i holds one
@@ -455,20 +486,25 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     iterate is no hit, nor is its 3x + 1, and it cannot end the walk, so the
     jump is exact.
 
-    One start rule: at a budget >= 2K (24 at K = 12), a start n above its
-    map's no-hit bound (see _build_jump_rows) jumps its first K steps to y_K,
-    with q = dq and e = K, if n < floor or its row has gmin*n >= floor << K.
-    None of those steps is a hit.  The walk ends at y_K if y_K < lim and
-    memo[y_K] < thr, and otherwise walks on from there.  Inside the memo
-    (lim = n) a skipped exit is exact: if a halving onto y_i < n (i < K) had
-    memo[y_i] < thr, then y_K <= memo[y_i] < thr <= n and
-    memo[y_K] <= memo[y_i], so the walk ends at y_K; conversely, a walk that
-    ends at y_K had a valid exit at its last halving i <= K, since the odd
-    steps after it rise to y_K.  Either exit lies within 2K steps, so at a
-    budget >= 2K neither path raises; below it no start jumps, as an exit at
-    y_K checks no budget and would hide a step-by-step exit past it.  Past
-    the memo (lim = floor) the guard, the mid-walk jumps' own, keeps every
-    iterate inside the jump at or above the floor, so it skips no exit.
+    One start rule: for m = 1, 2, .. up to _JUMP_DEPTH (4), while n is above
+    its map's no-hit bound for the first m*K steps (_no_hit_bounds) and the
+    budget is >= 2mK, the walk jumps K steps from cur, adding dq to q and K
+    to e; past the memo (n >= floor) the jump also needs its row's guard
+    gmin*cur >= floor << K, the mid-walk jumps' own.  After each jump the
+    walk ends if cur < lim and memo[cur] < thr; otherwise it walks on from
+    the last cur.  The jumps skip no hit, no exit and no budget error:
+    - Hits: by the bound, none lies in the first m*K steps.
+    - Exits: inside the memo (lim = n), if a skipped halving onto y_i had
+      memo[y_i] < thr, then every later iterate is at most memo[y_i] < thr
+      <= n, so the jump lands on an exit too, with the same pairs and a
+      later exit step.  Conversely, an exit at y_kK means the step-by-step
+      walk exits at its last halving i <= kK, since the odd steps after it
+      rise to y_kK.  Past the memo (lim = floor) the guard keeps every
+      iterate inside the jump at or above the floor, where no exit fires.
+    - Budget: after m jumps both walks end within m*K compressed steps, so
+      at j <= 2mK <= budget, or both walk on from y_mK; neither raises
+      before.  At a smaller budget depth m is not taken, as an exit at y_mK
+      checks no budget and would hide a step-by-step exit past it.
 
     The budget caps the steps one walk may take before its exit; a start that
     needs more raises BudgetExhausted.  The check runs at the exit and at
@@ -489,23 +525,27 @@ def scan_paradoxes(n_lo: int, n_hi: int, formalism: Formalism = Formalism.SHORTC
     append = out.append
     classic = formalism is Formalism.CLASSIC
     half = 1 if classic else 0      # thr = (n + half) >> half
-    jump_lo = n_hi + 1   # the least start that jumps its first K steps
-    if budget >= 2 * JUMP_K:
-        jump_lo = (_NO_HIT_CLASSIC if classic else _NO_HIT_SHORTCUT) + 1
+    # the no-hit bound of each start jump m = 1, 2, .. the budget allows
+    no_hit = (_NO_HIT_CLASSIC if classic else _NO_HIT_SHORTCUT)[:max(budget, 0) // (2 * JUMP_K)]
     size_k = size << JUMP_K
     for n in range(n_lo, n_hi + 1):
         thr = (n + half) >> half
         lim = n if n < size else size
         cur = n
         q = e = 0
-        if n >= jump_lo:
-            a, c, dq, gmin, _, _ = rows[n & _JUMP_MASK]
-            if n < size or gmin * n >= size_k:
-                cur = (a * n + c) >> JUMP_K
-                if cur < lim and memo[cur] < thr:
-                    continue
-                q = dq
-                e = JUMP_K
+        for bound in no_hit:
+            if n <= bound:
+                break
+            a, c, dq, gmin, _, _ = rows[cur & _JUMP_MASK]
+            if n >= size and gmin * cur < size_k:
+                break
+            cur = (a * cur + c) >> JUMP_K
+            q += dq
+            e += JUMP_K
+            if cur < lim and memo[cur] < thr:
+                break
+        if cur < lim and memo[cur] < thr:
+            continue
         while True:
             if cur & 1:
                 cur = (3 * cur + 1) >> 1

@@ -533,17 +533,43 @@ def test_prefix_tree_build_equals_one_walk_per_row():
             check(search._build_jump_rows(), k)
 
 
-def test_no_hit_bounds_are_the_closed_form_and_the_greatest_row_thresholds():
+def _closed_form_no_hit_bound(steps: int, cs: tuple[int, ...]) -> int:
     # x <= E * 2**i / (2**(i-c) - 3**q) for a hit at step i after q odd steps
     # (c = 1: the classic 3x + 1 before it), E at most the extremal remainder
+    return max(math.floor(remainder_bounds(i, q).upper * 2**i / (2**(i - c) - 3**q))
+               for i in range(1, steps + 1) for q in range(i + 1) for c in cs
+               if 3**q < 2**(i - c))
+
+
+def test_no_hit_bounds_are_the_closed_form_and_the_greatest_row_thresholds():
     k = search.JUMP_K
-    closed = [max(math.floor(remainder_bounds(i, q).upper * 2**i / (2**(i - c) - 3**q))
-                  for i in range(1, k + 1) for q in range(i + 1) for c in cs
-                  if 3**q < 2**(i - c))
-              for cs in ((0,), (0, 1))]
+    closed = [_closed_form_no_hit_bound(k, cs) for cs in ((0,), (0, 1))]
     thresholds = _jump_rows_by_walks(k)[1]
     greatest = [max(t[m] for t in thresholds) for m in (0, 1)]
-    assert [search._NO_HIT_SHORTCUT, search._NO_HIT_CLASSIC] == closed == greatest == [129, 259]
+    assert [search._NO_HIT_SHORTCUT[0], search._NO_HIT_CLASSIC[0]] == closed == greatest == [129, 259]
+
+
+def test_no_hit_bounds_of_every_jump_depth_are_the_closed_form():
+    # the bound for the first m*K steps, m = 1.._JUMP_DEPTH, on each map
+    k, depth = search.JUMP_K, search._JUMP_DEPTH
+    assert depth == 4
+    for bounds, cs in ((search._NO_HIT_SHORTCUT, (0,)), (search._NO_HIT_CLASSIC, (0, 1))):
+        assert list(bounds) == [_closed_form_no_hit_bound(m * k, cs) for m in range(1, depth + 1)]
+    assert search._NO_HIT_SHORTCUT == (129, 3018, 86293, 5174656)
+    assert search._NO_HIT_CLASSIC == (259, 3018, 172586, 10349312)
+
+
+def test_no_start_above_the_two_jump_bound_has_a_hit_in_its_first_2k_steps():
+    k = 2 * search.JUMP_K
+    bound = search._NO_HIT_SHORTCUT[1]
+    assert bound == search._NO_HIT_CLASSIC[1]
+    with_hits = ([], [])
+    for x in range(1, bound + (1 << search.JUMP_K) + 1):
+        for found, hit in zip(with_hits, _first_k_steps(x, k)[:2]):
+            if any(hit):
+                found.append(x)
+    assert max(with_hits[0]) == 25 <= bound
+    assert max(with_hits[1]) == 51 <= bound
 
 
 def test_jump_rows_are_exact_k_step_maps_with_two_sided_bounds():
@@ -606,8 +632,8 @@ def test_jump_row_thresholds_match_brute_force():
             else:
                 assert trajectory(x, tau).last() >= x, (r, x)
     # no start above its map's bound has a hit in its first K steps
-    assert max(with_hits[0]) == 25 <= search._NO_HIT_SHORTCUT
-    assert max(with_hits[1]) == 51 <= search._NO_HIT_CLASSIC
+    assert max(with_hits[0]) == 25 <= search._NO_HIT_SHORTCUT[0]
+    assert max(with_hits[1]) == 51 <= search._NO_HIT_CLASSIC[0]
 
 
 def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
@@ -635,15 +661,16 @@ def _plain_walk(n: int, formalism: Formalism, memo: array) -> tuple[list, int]:
             hits.append((n, j))
 
 
-def _assert_budget_parity(lo: int, hi: int, formalism: Formalism, memo: array) -> None:
-    # At budgets 1..60, the scan of lo..hi and of each window of 8 starts in
+def _assert_budget_parity(lo: int, hi: int, formalism: Formalism, memo: array,
+                          budgets: range = range(1, 61)) -> None:
+    # At each budget, the scan of lo..hi and of each window of 8 starts in
     # it (so that the first start over the budget is not always the same one)
     # raises at the first start whose plain walk is longer than the budget,
     # or gives the plain walks' pairs.
     walks = {n: _plain_walk(n, formalism, memo) for n in range(lo, hi + 1)}
     windows = [(lo, hi)] + [(w, min(w + 7, hi)) for w in range(lo, hi + 1, 8)]
     for w_lo, w_hi in windows:
-        for budget in range(1, 61):
+        for budget in budgets:
             over = [n for n in range(w_lo, w_hi + 1) if walks[n][1] > budget]
             if over:
                 want = BudgetExhausted(over[0], budget,
@@ -680,6 +707,27 @@ def test_budget_parity_with_a_plain_walk_past_a_small_memo(lo, hi, formalism):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_memo_for_range", _fresh_memo(64))
         _assert_budget_parity(lo, hi, formalism, _fresh_memo(64)(0, 0)[0])
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("lo, hi", [(86294, 86400), (172590, 172700)])
+def test_budget_parity_with_a_plain_walk_at_the_deeper_jumps_inside_the_memo(lo, hi, formalism):
+    # Inside a memo of hi + 1 entries these starts jump 24 or 36 steps, the
+    # budget allowing: an exit skipped by a jump is an exit where it lands.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo_for_range", _fresh_memo(hi + 1))
+        _assert_budget_parity(lo, hi, formalism, _fresh_memo(hi + 1)(0, 0)[0], range(1, 101))
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("lo, hi, size", [(86294, 86600, 4096), (10349313, 10349400, 64)])
+def test_budget_parity_with_a_plain_walk_at_the_deeper_jumps_past_a_small_memo(lo, hi, size,
+                                                                              formalism):
+    # Past the memo every one of the (up to four) start jumps needs its own
+    # row's guard: an iterate inside a later jump may fall below the floor.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo_for_range", _fresh_memo(size))
+        _assert_budget_parity(lo, hi, formalism, _fresh_memo(size)(0, 0)[0], range(1, 121))
 
 
 @settings(max_examples=60, deadline=None)
