@@ -683,19 +683,23 @@ def _assert_budget_parity(lo: int, hi: int, formalism: Formalism, memo: array,
                     pair for n in range(w_lo, w_hi + 1) for pair in walks[n][0]]
 
 
-@pytest.mark.parametrize("formalism", list(Formalism))
-@pytest.mark.parametrize("lo, hi", [(3, 400), (150, 550), (5000, 5400)])
-def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
-    memo = array("q", bytes(8)) * (hi + 1)
-    fill_excursion_memo(memo, 0, hi + 1)
-    _assert_budget_parity(lo, hi, formalism, memo)
-
-
 @functools.lru_cache(maxsize=None)
 def _fresh_memo(size: int):
     memo = array("q", bytes(8)) * size
     fill_excursion_memo(memo, 0, size)
     return lambda *block: (memo, size)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("lo, hi", [(3, 400), (150, 550), (5000, 5400),
+                                    (86294, 86400), (172590, 172700)])
+def test_budget_parity_with_a_plain_walk_inside_the_memo(lo, hi, formalism):
+    # Inside a memo of hi + 1 entries the starts above 3018 jump 24 steps, and
+    # those above 86293 (shortcut) or 172586 (classic) 36, the budget
+    # allowing: an exit that a jump skips is an exit where it lands.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo_for_range", _fresh_memo(hi + 1))
+        _assert_budget_parity(lo, hi, formalism, _fresh_memo(hi + 1)(0, 0)[0], range(1, 101))
 
 
 @pytest.mark.parametrize("formalism", list(Formalism))
@@ -707,16 +711,6 @@ def test_budget_parity_with_a_plain_walk_past_a_small_memo(lo, hi, formalism):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_memo_for_range", _fresh_memo(64))
         _assert_budget_parity(lo, hi, formalism, _fresh_memo(64)(0, 0)[0])
-
-
-@pytest.mark.parametrize("formalism", list(Formalism))
-@pytest.mark.parametrize("lo, hi", [(86294, 86400), (172590, 172700)])
-def test_budget_parity_with_a_plain_walk_at_the_deeper_jumps_inside_the_memo(lo, hi, formalism):
-    # Inside a memo of hi + 1 entries these starts jump 24 or 36 steps, the
-    # budget allowing: an exit skipped by a jump is an exit where it lands.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_memo_for_range", _fresh_memo(hi + 1))
-        _assert_budget_parity(lo, hi, formalism, _fresh_memo(hi + 1)(0, 0)[0], range(1, 101))
 
 
 @pytest.mark.parametrize("formalism", list(Formalism))
