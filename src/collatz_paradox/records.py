@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bounds import coefficient_ceiling_q, smallest_harmonic_cap_j
 from .dynamics import Formalism
-from .search import JUMP_K, _jump_tables, delay, max_excursion
+from .search import JUMP_K, _jump_tables, _plain_end, _unsettled, delay, max_excursion
 
 
 class RecordKind(enum.Enum):
@@ -65,10 +65,10 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
     start n of a class (tau, r) above the class's tau_thr first falls below
     itself at step tau, to y_tau = (3**q * n + c) >> tau (R. Terras, 1976).
     The max-excursion scan keeps no memo (see _excursion_records); the delay
-    scans fill a 4-byte memo one class at a time (see _delay_memo).  Only the
-    starts of the 226 rows without tau, and those the classes cannot settle,
-    are walked, each to its first iterate below the start.  n_hi is capped at
-    RECORDS_N_MAX.
+    scans fill a 4-byte memo one class at a time and walk the starts of
+    search._unsettled, those below 8192 and those of the 226 rows without
+    tau (see _delay_memo).  Each walk ends at the first iterate below its
+    start.  n_hi is capped at RECORDS_N_MAX.
     """
     if n_hi < 1:
         raise ValueError("n_hi must be >= 1")
@@ -90,12 +90,6 @@ def compute_records(n_hi: int, kind: RecordKind) -> list[RecordEntry]:
             best = _records_in(memo, lo, min(lo + (1 << 16), n_hi + 1), best, out)
         return out
     raise ValueError(f"unsupported record kind {kind}")
-
-
-def _plain_end(classes: list[tuple]) -> int:
-    """The starts below this are walked plainly: 2**(K+1), or past the
-    largest tau_thr if that were higher (it is 24 at K = 12)."""
-    return max(2 << JUMP_K, 1 + max(tau_thr for _, _, _, _, _, tau_thr, _, _ in classes))
 
 
 def _peak_before_descent(n: int, cur: int, peak: int) -> int:
@@ -135,7 +129,7 @@ def _excursion_records(n_hi: int) -> list[RecordEntry]:
     out = [RecordEntry(n, n) for n in (1, 2) if n <= n_hi]
     best = 2
     _, classes, walked = _jump_tables()
-    lo = min(n_hi + 1, _plain_end(classes))
+    lo = min(n_hi + 1, _plain_end())
     for n in range(3, lo):
         peak = _peak_before_descent(n, n, n)
         if peak > best:
@@ -193,26 +187,28 @@ def _delay_memo(n_hi: int, odd_cost: int) -> array:
     start; an odd step counts odd_cost (2 for the classic delay, 1 for the
     compressed one).
 
-    Below _plain_end each start walks to its first iterate below it and adds
-    that iterate's delay.  Above, the memo fills in chunks [lo, hi), from the
-    classes and the rows without tau of search._build_jump_rows.  A class
-    (tau, r, a, c, q, ...) maps its starts n = n0, n0 + 2**tau, ... to
-    y_tau = (a*n + c) >> tau, an arithmetic progression with step a, so its
-    part of the chunk is one strided slice:
+    Each start of search._unsettled walks from its (n, cur, q, j) to its
+    first iterate below n, with the cost of its first j steps, and adds that
+    iterate's delay: below _plain_end every start walks from itself.  Above,
+    the memo fills in chunks [lo, hi), from the classes of
+    search._build_jump_rows.  A class (tau, r, a, c, q, ...) maps its starts
+    n = n0, n0 + 2**tau, ... to y_tau = (a*n + c) >> tau, an arithmetic
+    progression with step a, so its part of the chunk is one strided slice:
     memo[n] = tau + q*(odd_cost - 1) + memo[y_tau].  hi is the least n at
     which some class's y_tau reaches lo, so every entry read is already
-    final.  The starts of the rows (r, a, c, dq, ...) without tau then walk
-    in ascending order from y_K, with the cost of their first K steps.
+    final.  The starts of the rows without tau, the chunk's part of
+    _unsettled, then walk in ascending order.
     """
-    _, classes, walked = _jump_tables()
+    classes = _jump_tables()[1]
     memo = array("i", bytes(4)) * (n_hi + 1)
-    lo = min(n_hi + 1, _plain_end(classes))
-    for n in range(2, lo):
-        memo[n] = _delay_below(n, n, 0, odd_cost, memo)
     extra = odd_cost - 1
-    period = 1 << JUMP_K
-    while lo <= n_hi:
-        hi = n_hi + 1
+    lo, hi = 2, min(n_hi + 1, _plain_end())
+    while True:
+        for n, cur, q, j in _unsettled(lo, hi):
+            memo[n] = _delay_below(n, cur, j + extra * q, odd_cost, memo)
+        if hi > n_hi:
+            return memo
+        lo, hi = hi, n_hi + 1
         for tau, r, a, c, _, _, _, _ in classes:
             n = -(-((lo << tau) - c) // a)     # least n with a*n + c >= lo << tau
             hi = min(hi, n + (r - n) % (1 << tau))
@@ -224,14 +220,6 @@ def _delay_memo(n_hi: int, odd_cost: int) -> array:
                 count = (hi - 1 - n0) // step + 1
                 memo[n0:hi:step] = array("i", map(add, memo[y0:y0 + count * a:a],
                                                   repeat(tau + extra * q)))
-        for base in range(lo - lo % period, hi, period):
-            for r, a, c, dq, _, _ in walked:
-                n = base + r
-                if lo <= n < hi:
-                    memo[n] = _delay_below(n, (a * n + c) >> JUMP_K,
-                                           JUMP_K + extra * dq, odd_cost, memo)
-        lo = hi
-    return memo
 
 
 def _records_in(memo, lo: int, hi: int, best: int, out: list[RecordEntry]) -> int:

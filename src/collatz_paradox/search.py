@@ -38,8 +38,10 @@ step (see scan_paradoxes), inside the memo as past it.
 The same build yields the stopping-time decomposition: 57 residue classes
 mod 2**tau (tau <= K) whose starts above a threshold first fall below
 themselves at step tau, and the 226 rows whose starts do not within K steps.
-verify_cst and the record scans sieve by it and walk only the starts it does
-not settle.
+It settles every start from _plain_end (8192) up except those of the 226
+rows.  _unsettled lists the rest in ascending order, the starts below
+_plain_end and the starts of those rows; verify_cst and the delay memo walk
+that list, and the excursion records read the classes and rows directly.
 
 K = 12.  The table is built as a prefix tree over the residues, one step per
 level (see _build_jump_rows), in about 10 ms; a process builds it on first
@@ -49,7 +51,6 @@ use, and a pool run builds it once, before its workers fork.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 import mmap
 import threading
@@ -193,7 +194,7 @@ def _process_memo() -> memoryview:
 def _memo_floor(lo: int, hi: int) -> int:
     """The walk floor of a search of [lo, hi]; see _memo_for_range."""
     size = min(hi + 1, _MEMO_FULL)
-    if lo > 2 * _MEMO_FAR_PEAK or size > 2 * (hi - lo + 1):
+    if size > 2 * (hi - lo + 1):
         return _MEMO_FAR
     return size
 
@@ -217,8 +218,9 @@ def _memo_for_range(n_lo: int, n_hi: int, floor: int) -> tuple[memoryview, int]:
     gets 2**16 entries: its walks must fall that far before the exit can
     fire, but a short run far out (one CLI process per window) would
     otherwise pay a build of millions of entries for a few thousand starts.
-    A search from 593279153 up gets 2**16 entries whatever its size, so that
-    it builds none (see below).
+    A sparse search from 593279153 up builds no entry at all (see below); a
+    dense one there gets the 2**24 floor like any other, as its 2**24-entry
+    build (6.5-9 s) pays from about 10**7 starts at the figures above.
 
     Entries saturate at S = _MEMO_MAX = 2**32 - 1 (see fill_excursion_memo),
     which is exact where a scan reads them: it reads an entry only as
@@ -333,6 +335,32 @@ def _jump_tables() -> tuple[list[tuple], list[tuple], list[tuple]]:
             if _jump_table is None:
                 _jump_table = built
     return _jump_table
+
+
+def _plain_end() -> int:
+    """The starts below this are walked plainly: 2**(K+1), or past the
+    largest tau_thr if that were higher (it is 24 at K = 12)."""
+    classes = _jump_tables()[1]
+    return max(2 << JUMP_K, 1 + max(tau_thr for _, _, _, _, _, tau_thr, _, _ in classes))
+
+
+def _unsettled(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, cur, q, j) in ascending n for each start lo <= n < hi that the
+    stopping-time decomposition leaves to a walk: cur is the iterate after j
+    steps, q of them odd.  A start below _plain_end is itself, (n, n, 0, 0);
+    above, only the starts of the rows without tau are left, each at its
+    K-th iterate, (n, (a*n + c) >> K, dq, K).  Every other start above
+    _plain_end lies above its class's tau_thr and first falls below itself
+    at step tau (see _build_jump_rows)."""
+    plain = min(hi, max(lo, _plain_end()))
+    for n in range(lo, plain):
+        yield n, n, 0, 0
+    walked = _jump_tables()[2]
+    for base in range(plain & ~_JUMP_MASK, hi, 1 << JUMP_K):
+        for r, a, c, dq, _, _ in walked:
+            n = base + r
+            if plain <= n < hi:
+                yield n, (a * n + c) >> JUMP_K, dq, JUMP_K
 
 
 def _build_jump_rows() -> tuple[list[tuple], list[tuple], list[tuple]]:
@@ -630,25 +658,23 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     One walk per n: it ends at the stopping time (first descent below n) and
     records on the way the first step where the coefficient drops below 1.
 
-    Most starts need no walk: the build's stopping-time decomposition (see
-    _build_jump_rows) sieves them.  A start n of a class with step tau (the
-    first i <= K, K = JUMP_K, with 3**q_i < 2**i) above the class's tau_thr
-    has every y_i before tau above n and y_tau < n, so both stopping times are
-    tau: no counterexample and a gap of 0, and no budget error if
-    tau <= budget.  So only the starts of each class at or below its tau_thr,
-    every start of a class with tau > budget and every start of a row without
-    tau are walked, each class or row as a range with step 2**tau or 2**K,
-    merged in ascending order; the counterexamples, max_gap and the first
-    BudgetExhausted are those of walking every start.  checked counts every
-    start.  At K = 12 there are 57 classes and 226 rows without tau, and no
-    start >= 2 lies at or below its class's tau_thr (it would be a
-    counterexample), so at budgets >= 12 about 5.5% of the starts are walked.
-
-    A start of a row without tau begins its walk at y_K, K steps in, with
-    q = dq: its first K steps neither descend (each y_i > n, as
-    3**q_i > 2**i) nor drop the coefficient below 1.  So at a budget >= K the
-    walk goes on from y_K exactly as from n, and at a budget < K the start
-    exceeds the budget either way, with the same error.
+    Most starts need no walk: at a budget >= K (K = JUMP_K) the walk covers
+    only the starts of _unsettled, in ascending order, and checked counts
+    every start.  This is exact:
+    - Each start below _plain_end (8192 at K = 12) walks from itself.
+    - Above _plain_end, a start of a stopping-time class (see
+      _build_jump_rows) lies above its class's tau_thr (at most 24), so both
+      of its stopping times equal its tau <= K: no counterexample, a gap of 0
+      and, at a budget >= K, no BudgetExhausted.
+    - A start of a row without tau neither descends (each y_i > n, as
+      3**q_i > 2**i) nor drops its coefficient below 1 in its first K steps,
+      so it walks on from y_K with q = dq and j = K, exactly as from n.
+    - At a budget below K every start walks from itself, since a class
+      start with tau > budget is over the budget.
+    The list is ascending either way, so the counterexamples come in order
+    and the first BudgetExhausted is that of the first start over the
+    budget.  At K = 12 there are 226 rows without tau of 4096, so about 5.5%
+    of the starts from 8192 up are walked.
     """
     if lo < 2:
         raise ValueError("range must start at 2 (the start 1 never descends)")
@@ -658,25 +684,11 @@ def verify_cst(lo: int, hi: int, budget: int = DEFAULT_BUDGET) -> CstReport:
     qcap = len(bl3)
     bad: list[tuple[int, int, int]] = []
     max_gap = 0
-    period = 1 << JUMP_K
-    _, classes, walked = _jump_tables()
-    # (a, c, q, j) of each residue mod 2**K: its walk starts at (a*n + c) >> j
-    starts = [(1, 0, 0, 0)] * period
-    ranges = []
-    for tau, r, _, _, _, tau_thr, _, _ in classes:
-        step = 1 << tau
-        first = lo + (r - lo) % step
-        top = hi if tau > budget else min(hi, tau_thr)
-        if first <= top:
-            ranges.append(range(first, top + 1, step))
-    for r, a, c, dq, _, _ in walked:
-        starts[r] = (a, c, dq, JUMP_K)
-        first = lo + (r - lo) % period
-        if first <= hi:
-            ranges.append(range(first, hi + 1, period))
-    for n in heapq.merge(*ranges):
-        a, c, q, j = starts[n & _JUMP_MASK]
-        cur = (a * n + c) >> j
+    if budget >= JUMP_K:
+        starts = _unsettled(lo, hi + 1)
+    else:
+        starts = ((n, n, 0, 0) for n in range(lo, hi + 1))
+    for n, cur, q, j in starts:
         tau = 0
         while cur >= n:
             if cur & 1:

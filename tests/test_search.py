@@ -420,7 +420,8 @@ def test_the_walk_floor_depends_on_the_search_alone():
     assert floor(5000, 9999) == 10000
     assert floor(5001, 9999) == 1 << 16           # fewer starts than half the entries
     assert floor(593279152, 10**9) == 1 << 24
-    assert floor(593279153, 10**10) == 1 << 16    # it builds no memo at all
+    assert floor(593279153, 10**10) == 1 << 24    # dense far out: the same rule
+    assert floor(593279153, 593279153 + 10**6) == 1 << 16   # sparse: it builds no memo
 
 
 def test_memo_is_lazy_and_sized_by_the_range():
@@ -884,10 +885,13 @@ def test_verify_cst_matches_scalar_oracles(window):
     assert rep.max_gap == max((t - tau for _, tau, t in bad), default=0)
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 2000), (1000, 1300)])
+@pytest.mark.parametrize("lo, hi", [(2, 2000), (1000, 1300),
+                                    # past the plain walks, each over all 4096 residues
+                                    (10000, 14200), (1 << 40, (1 << 40) + 4200)])
 def test_cst_budget_parity_with_the_scalar_oracle(lo, hi):
     # the sieve skips only starts that descend within K steps, so the first
-    # start over the budget, and its message, are those of stopping_time
+    # start over the budget, and its message, are those of stopping_time;
+    # below K it skips none, as a class start with tau > budget is over it
     for budget in range(1, 61):
         over = next((n for n in range(lo, hi + 1) if stopping_time(n) > budget), None)
         if over is None:
@@ -898,3 +902,22 @@ def test_cst_budget_parity_with_the_scalar_oracle(lo, hi):
         with pytest.raises(BudgetExhausted) as got:
             verify_cst(lo, hi, budget)
         assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(window=st.one_of(_windows(3000, 9000, width=5000),                  # across 8192
+                        _windows((1 << 64) - 5000, (1 << 64) + 5000, width=5000)))
+def test_unsettled_lists_the_plain_starts_and_the_rows_without_tau(window):
+    # every start below 8192 from itself, and from 8192 up every start that
+    # does not fall below itself within K steps, from its K-th iterate
+    lo, hi = window
+    k = search.JUMP_K
+    assert search._plain_end() == 8192
+    want = []
+    for n in range(lo, hi):
+        if n < 8192:
+            want.append((n, n, 0, 0))
+        elif _first_k_steps(n, k)[2] is None:
+            ys, q = _compressed_steps(n, k)
+            want.append((n, ys[-1], q, k))
+    assert list(search._unsettled(lo, hi)) == want
